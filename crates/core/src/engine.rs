@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 // aimq-lint: allow(hashmap) -- import for the insert-only `examined` set below
 use std::collections::HashSet;
 use std::fmt;
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::base_query::derive_base_set_memoized;
 use crate::bind::tuple_query_for;
-use crate::relax::RelaxationStep;
+use crate::relax::{PlannedProbe, RelaxationStep};
 use crate::RelaxationStrategy;
 
 /// Tuning knobs of Algorithm 1. The paper leaves `Tsim` and `k` "tuned by
@@ -50,17 +50,6 @@ pub struct EngineConfig {
     /// default; turn off to reproduce the non-deduplicating engine (the
     /// eval harness does, to measure the saving).
     pub dedup_probes: bool,
-    /// Hand each base tuple's compiled probe plan to the source in one
-    /// [`WebDatabase::try_query_plan`] call instead of query-at-a-time.
-    /// Sources that support shared-plan evaluation (the in-memory
-    /// posting-list executor) evaluate the plan's common subexpressions
-    /// once; everything else inherits the sequential default, so the
-    /// per-query traffic, fault schedule positions, memo behavior and
-    /// answers are byte-identical either way. Automatically disabled
-    /// while [`EngineConfig::target_relevant`] is set: the early stop
-    /// can end a plan mid-tuple, and prefetching would issue probes a
-    /// sequential engine never would.
-    pub batch_plans: bool,
 }
 
 impl Default for EngineConfig {
@@ -73,7 +62,6 @@ impl Default for EngineConfig {
             target_relevant: None,
             max_steps_per_tuple: 256,
             dedup_probes: true,
-            batch_plans: true,
         }
     }
 }
@@ -100,7 +88,6 @@ impl EngineConfig {
                 Json::Num(self.max_steps_per_tuple as f64),
             ),
             ("dedup_probes", Json::Bool(self.dedup_probes)),
-            ("batch_plans", Json::Bool(self.batch_plans)),
         ])
     }
 
@@ -139,11 +126,6 @@ impl EngineConfig {
                     next.dedup_probes = value
                         .as_bool()
                         .ok_or_else(|| "`dedup_probes` must be a boolean".to_string())?;
-                }
-                "batch_plans" => {
-                    next.batch_plans = value
-                        .as_bool()
-                        .ok_or_else(|| "`batch_plans` must be a boolean".to_string())?;
                 }
                 other => return Err(format!("unknown config knob `{other}`")),
             }
@@ -485,6 +467,32 @@ fn distinct_levels(steps: &[RelaxationStep]) -> u64 {
     levels.len() as u64
 }
 
+/// The next window of pending probes, drawn from `probes` (the steps
+/// not yet consumed, in plan order): up to `size` queries, skipping empty
+/// probes and probes the memo replays. The window ends before the first
+/// query it already holds — whether that repeat is replayed or re-issued
+/// depends on how the earlier occurrence resolves. Every query in the
+/// window is therefore one a query-at-a-time loop would issue, in the
+/// same order, so fault schedules keyed on query position see the same
+/// traffic.
+fn next_window(probes: &[PlannedProbe], size: usize, memo: &ProbeMemo) -> Vec<SelectionQuery> {
+    let mut window: Vec<SelectionQuery> = Vec::new();
+    for probe in probes {
+        let key = &probe.query;
+        if window.len() == size {
+            break;
+        }
+        if key.predicates().is_empty() || memo.holds(key) {
+            continue;
+        }
+        if window.contains(key) {
+            break;
+        }
+        window.push(key.clone());
+    }
+    window
+}
+
 /// Per-call probe memo backing the planner's dedup: every successful page
 /// of this engine call, keyed on the canonical query form. A planned
 /// probe whose canonical query already succeeded replays the recorded
@@ -524,6 +532,12 @@ impl ProbeMemo {
         self.pages.get(key).cloned()
     }
 
+    /// Whether [`ProbeMemo::replay`] would return a page for `key`,
+    /// without cloning it.
+    pub(crate) fn holds(&self, key: &SelectionQuery) -> bool {
+        self.enabled && self.pages.contains_key(key)
+    }
+
     /// Record a successful page under the canonical `key`. First success
     /// wins; later identical probes replay it.
     pub(crate) fn record(&mut self, key: SelectionQuery, page: &QueryPage) {
@@ -547,7 +561,6 @@ impl ProbeMemo {
 /// already found, with [`Completeness::Partial`] or
 /// [`Completeness::Empty`] telling the caller how much the answer can be
 /// trusted.
-// aimq-probe: entry -- the engine's probe loop; probe budget and failures are accounted in DegradationReport
 pub fn answer_imprecise_query(
     db: &dyn WebDatabase,
     query: &ImpreciseQuery,
@@ -600,12 +613,18 @@ pub fn answer_imprecise_query(
     // failure abandons the remaining plan (accounted below).
     let expanded_tuples = base_set.iter().take(config.max_base_tuples);
     let mut abandoned_at: Option<usize> = None;
-    // Whole-plan prefetch is an optimization, never a semantics change:
-    // it must issue the exact query sequence the sequential loop would
-    // (deterministic fault schedules key on query *position*). Under the
-    // early-stop target the sequential loop may end a plan mid-tuple, so
-    // batching stands down there.
-    let batch = config.batch_plans && config.target_relevant.is_none();
+    // One probe loop: pending probes reach the source in windows through
+    // `try_query_plan`, so sources with shared-plan evaluation (the
+    // in-memory posting-list executor) compute a window's common
+    // subexpressions once. A window spans the tuple's whole pending plan,
+    // except under the early-stop target, which can end a plan mid-tuple:
+    // there each window is one probe, so nothing is issued past the
+    // stopping point.
+    let window = if config.target_relevant.is_some() {
+        1
+    } else {
+        usize::MAX
+    };
     'outer: for (base_index, t) in expanded_tuples.enumerate() {
         if degradation.source_lost {
             abandoned_at = Some(base_index);
@@ -623,36 +642,10 @@ pub fn answer_imprecise_query(
         // semantics-preserving, so the source sees an equivalent query.
         let probes = crate::relax::compile_probes(&tuple_query, &plan);
 
-        // Batched path: issue this tuple's pending probes — the first
-        // occurrence of every non-empty query the memo can't replay, in
-        // step order, which for the built-in strategies (pairwise-distinct
-        // step keys) is exactly the sequence the sequential loop issues —
-        // through one `try_query_plan` call. Results are consumed by key
-        // below; a key with no prefetched result (duplicate step keys
-        // from a custom strategy, or a plan cut short by a terminal
-        // error) falls back to an individual probe.
-        let mut prefetched: BTreeMap<SelectionQuery, Result<QueryPage, QueryError>> =
-            BTreeMap::new();
-        if batch {
-            let mut pending: Vec<SelectionQuery> = Vec::new();
-            for probe in &probes {
-                if probe.query.predicates().is_empty()
-                    || memo.replay(&probe.query).is_some()
-                    || pending.contains(&probe.query)
-                {
-                    continue;
-                }
-                pending.push(probe.query.clone());
-            }
-            if !pending.is_empty() {
-                let results = db.try_query_plan(&pending);
-                // `results` may be a prefix (terminal error): consumption
-                // hits the terminal entry first and abandons, so the
-                // unpaired tail is never reached.
-                prefetched = pending.into_iter().zip(results).collect();
-            }
-        }
-
+        // Results of the current window, in issue order. A window is a
+        // contiguous run of the steps consumed next (see
+        // `next_window`), so its front always belongs to the step at hand.
+        let mut fetched: VecDeque<Result<QueryPage, QueryError>> = VecDeque::new();
         for (step_index, probe) in probes.iter().enumerate() {
             let step = &probe.step;
             let key = &probe.query;
@@ -664,10 +657,14 @@ pub fn answer_imprecise_query(
                 page
             } else {
                 degradation.note_attempt();
-                let outcome = match prefetched.remove(key) {
-                    Some(result) => result,
-                    None => db.try_query(key),
-                };
+                if fetched.is_empty() {
+                    let rest = probes.get(step_index..).unwrap_or_default();
+                    let pending = next_window(rest, window, &memo);
+                    fetched = db.try_query_plan(&pending).into();
+                }
+                // A conforming source answers at least the window's first
+                // query; one that answered nothing has failed this probe.
+                let outcome = fetched.pop_front().unwrap_or(Err(QueryError::Unavailable));
                 match outcome {
                     Ok(page) => {
                         if page.truncated {
@@ -1057,25 +1054,26 @@ mod behavior_tests {
         assert_eq!(result.stats.relevant_found, 1 + 2);
     }
 
-    /// Tentpole: handing whole plans to the source
-    /// (`EngineConfig::batch_plans` → `try_query_plan`) is a pure
-    /// executor swap — answers, degradation counters and source-visible
-    /// traffic are byte-identical to the query-at-a-time engine, for
-    /// both dedup settings, on a clean source and through a seeded
-    /// fault-injecting decorator (whose `Sequenced` schedule keys fate
-    /// on query *position*, so any reordering would diverge).
+    /// Handing a tuple's whole pending plan to the source in one
+    /// `try_query_plan` window is a pure executor swap — answers,
+    /// degradation counters and source-visible traffic are byte-identical
+    /// to one-probe windows, for both dedup settings, on a clean source
+    /// and through a seeded fault-injecting decorator (whose `Sequenced`
+    /// schedule keys fate on query *position*, so any reordering would
+    /// diverge). The one-probe reference is an early-stop target that
+    /// can never be reached.
     #[test]
     fn batched_plans_match_sequential_engine() {
         use aimq_storage::{FaultInjectingWebDb, FaultProfile};
 
-        let run = |batch: bool, dedup: bool, faults: bool| {
+        let run = |one_probe_windows: bool, dedup: bool, faults: bool| {
             let (db, model, q) = world();
             let mut s = strategy(&model);
             let config = EngineConfig {
                 t_sim: 0.05,
                 top_k: 10,
                 dedup_probes: dedup,
-                batch_plans: batch,
+                target_relevant: one_probe_windows.then_some(usize::MAX),
                 ..EngineConfig::default()
             };
             let result = if faults {
@@ -1089,8 +1087,8 @@ mod behavior_tests {
 
         for dedup in [true, false] {
             for faults in [false, true] {
-                let (fp_seq, deg_seq, stats_seq) = run(false, dedup, faults);
-                let (fp_bat, deg_bat, stats_bat) = run(true, dedup, faults);
+                let (fp_seq, deg_seq, stats_seq) = run(true, dedup, faults);
+                let (fp_bat, deg_bat, stats_bat) = run(false, dedup, faults);
                 assert_eq!(fp_bat, fp_seq, "answers (dedup={dedup} faults={faults})");
                 assert_eq!(
                     deg_bat, deg_seq,
@@ -1102,6 +1100,36 @@ mod behavior_tests {
                 );
             }
         }
+    }
+
+    /// Under an early-stop target every window is one probe, so the
+    /// source sees exactly the probes the engine attempted: none is
+    /// prefetched past the stopping point.
+    #[test]
+    fn early_stop_prefetches_nothing_past_the_target() {
+        let config = EngineConfig {
+            t_sim: 0.05,
+            top_k: 10,
+            target_relevant: Some(1),
+            ..EngineConfig::default()
+        };
+        let (db, model, q) = world();
+        let stopped = answer_imprecise_query(&db, &q, &model, &mut strategy(&model), &config);
+        assert_eq!(
+            stopped.stats.queries_issued,
+            stopped.degradation.probes_attempted
+        );
+
+        let (db, model, q) = world();
+        let unbounded = EngineConfig {
+            target_relevant: None,
+            ..config
+        };
+        let full = answer_imprecise_query(&db, &q, &model, &mut strategy(&model), &unbounded);
+        assert!(
+            full.degradation.probes_attempted > stopped.degradation.probes_attempted,
+            "the target must stop the plan early"
+        );
     }
 
     /// A source that dies for good after a fixed number of successes.

@@ -439,7 +439,8 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        // target counts the whole extended set (base tuples included).
+        // target counts only tuples found beyond the base set; base
+        // tuples are relevant by construction on top of it.
         assert!(capped.stats.relevant_found <= 2 + capped.base_set_size);
         let uncapped = system.answer(
             &db,

@@ -20,8 +20,8 @@
 //! Reported per size:
 //!
 //! - **identity** — the shared executor, the one-shot posting path and
-//!   the legacy hash/range executor return byte-identical row sets for
-//!   every plan member (the tentpole acceptance bar);
+//!   a naive full scan return byte-identical row sets for every plan
+//!   member;
 //! - **sharing** — posting terms evaluated and intersections computed
 //!   by the shared executor vs what the same plans cost one-shot, from
 //!   the executor's own meters ([`aimq_storage::ExecStats`]).
@@ -32,7 +32,7 @@
 
 use aimq_catalog::{AttrId, Predicate, SelectionQuery};
 use aimq_data::CarDb;
-use aimq_storage::{execute_rows, execute_rows_legacy, PlanExecutor, Relation, RowId};
+use aimq_storage::{execute_rows, PlanExecutor, Relation, RowId};
 
 use crate::experiments::common::pick_query_rows;
 use crate::{Scale, TextTable};
@@ -61,9 +61,8 @@ pub struct PostingsOutcome {
     /// `1 − shared/one-shot` over terms + intersections: the fraction
     /// of posting work the plan memo eliminated.
     pub work_shared: f64,
-    /// Whether shared, one-shot and legacy execution returned
-    /// byte-identical row sets (and the naive scan agreed) for every
-    /// plan member.
+    /// Whether shared and one-shot execution returned the naive scan's
+    /// row set for every plan member.
     pub identical: bool,
 }
 
@@ -164,11 +163,7 @@ fn outcome_for(relation: &Relation, n_plans: usize, seed: u64) -> PostingsOutcom
             plan_queries += 1;
             let via_plan = exec.execute(query);
             let via_one_shot = execute_rows(relation, query);
-            let via_legacy = execute_rows_legacy(relation, query);
-            if via_plan != via_one_shot
-                || via_plan != via_legacy
-                || via_plan != scan(relation, query)
-            {
+            if via_plan != via_one_shot || via_plan != scan(relation, query) {
                 identical = false;
             }
             // What the same query costs with no memo to hit.

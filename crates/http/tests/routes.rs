@@ -182,20 +182,20 @@ fn config_roundtrip_patches_the_live_engine() {
         .expect("answers");
     assert!(answers.len() <= 3, "patched top_k must bound answers");
 
-    // Unknown keys are an all-or-nothing 400.
-    let rejected = client::request(
-        server.addr(),
-        "PATCH",
-        "/config",
-        Some(r#"{"top_k": 5, "no_such_knob": 1}"#),
-    )
-    .expect("bad patch");
-    assert_eq!(rejected.status, 400);
-    assert!(
-        rejected.body.contains("\"code\":\"invalid_config\""),
-        "{}",
-        rejected.body
-    );
+    // Unknown keys are an all-or-nothing 400 — retired knobs included.
+    for bad in [
+        r#"{"top_k": 5, "no_such_knob": 1}"#,
+        r#"{"top_k": 5, "batch_plans": true}"#,
+    ] {
+        let rejected =
+            client::request(server.addr(), "PATCH", "/config", Some(bad)).expect("bad patch");
+        assert_eq!(rejected.status, 400, "{bad}");
+        assert!(
+            rejected.body.contains("\"code\":\"invalid_config\""),
+            "{}",
+            rejected.body
+        );
+    }
     let after = client::request(server.addr(), "GET", "/config", None).expect("config");
     let parsed = Json::parse(&after.body).expect("config is JSON");
     assert_eq!(

@@ -1,225 +1,19 @@
-use aimq_catalog::{AttrId, PredicateOp, SelectionQuery, Tuple};
+use aimq_catalog::{SelectionQuery, Tuple};
 
 use crate::{Relation, RowId};
 
 /// Evaluate a boolean conjunctive selection over a relation, returning
 /// matching row ids in ascending order.
 ///
-/// Since the posting-list rewrite this routes through
-/// [`crate::postings`]: every predicate class reduces to an exact sorted
-/// row set (inverted postings for categorical equality, facet-tree
-/// position ranges for numeric bounds) and the conjunction is a galloping
-/// intersection — no per-row verification pass. Output is byte-identical
-/// to the legacy driver-and-verify path, which is retained as
-/// [`execute_rows_legacy`] for differential testing. Plans of overlapping
-/// queries should share a [`crate::PlanExecutor`] instead of calling this
-/// per query.
+/// Routes through [`crate::postings`]: every predicate class reduces to
+/// an exact sorted row set (inverted postings for categorical equality,
+/// facet-tree position ranges for numeric bounds) and the conjunction is
+/// a galloping intersection — no per-row verification pass. Output is
+/// byte-identical to a naive full scan, the oracle every differential
+/// test checks against. Plans of overlapping queries should share a
+/// [`crate::PlanExecutor`] instead of calling this per query.
 pub fn execute_rows(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
     crate::postings::execute_query(relation, query)
-}
-
-/// The index path [`execute_rows_legacy`] drives a query from, exposed so
-/// tests can pin access-path determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessPath {
-    /// Drive from a categorical equality posting list on this attribute.
-    Categorical(AttrId),
-    /// Drive from the sorted numeric index on this attribute.
-    NumericRange(AttrId),
-    /// Some attribute's combined bounds are provably empty — the whole
-    /// conjunction short-circuits without touching any index.
-    EmptyBounds(AttrId),
-    /// No indexable predicate: verify every row.
-    FullScan,
-}
-
-/// Pick the driver [`execute_rows_legacy`] would use for `query`.
-///
-/// Candidates are gathered from the *canonicalized* predicate list and
-/// ties in candidate size break deterministically by
-/// `(len, attr, driver kind)` — categorical before numeric — so a query
-/// and any predicate permutation of it scan the same index path and
-/// report the same probe/scan work.
-pub fn access_path(relation: &Relation, query: &SelectionQuery) -> AccessPath {
-    // (len, attr index, kind) candidate keys; kind 0 = categorical
-    // posting, 1 = numeric range.
-    let mut best: Option<(usize, usize, u8)> = None;
-    let canon = query.canonicalize();
-
-    for p in canon.predicates() {
-        if p.op != PredicateOp::Eq {
-            continue;
-        }
-        if let Some(cat) = p.value.as_cat() {
-            let key = (
-                relation.rows_with_value(p.attr, cat).len(),
-                p.attr.index(),
-                0,
-            );
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-    }
-
-    let mut numeric_attrs: Vec<AttrId> = canon
-        .predicates()
-        .iter()
-        .filter(|p| p.value.as_num().is_some())
-        .map(|p| p.attr)
-        .collect();
-    numeric_attrs.sort_unstable();
-    numeric_attrs.dedup();
-    for attr in numeric_attrs {
-        match combined_bounds(&canon, attr) {
-            Some(NumericBounds::Empty) => return AccessPath::EmptyBounds(attr),
-            Some(NumericBounds::Range(lo, hi)) => {
-                let key = (relation.rows_in_range(attr, lo, hi).len(), attr.index(), 1);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            None => {}
-        }
-    }
-
-    match best {
-        Some((_, attr, 0)) => AccessPath::Categorical(AttrId(attr)),
-        Some((_, attr, _)) => AccessPath::NumericRange(AttrId(attr)),
-        None => AccessPath::FullScan,
-    }
-}
-
-/// The pre-rewrite driver-and-verify executor, retained for differential
-/// testing against the posting-list path.
-///
-/// Access-path selection: the executor considers
-///
-/// * every equality predicate on a categorical attribute (inverted-index
-///   posting list), and
-/// * every numeric attribute's combined range bounds (sorted-index binary
-///   search),
-///
-/// drives from the smallest candidate set (ties broken by
-/// [`access_path`]'s deterministic key), and verifies the remaining
-/// predicates row by row. Queries with no indexable predicate fall back
-/// to a full scan; a provably-empty combined bound short-circuits the
-/// whole conjunction.
-///
-/// Known inexactness, inherited and kept for fidelity: the half-open
-/// numeric driver can never yield rows valued `+∞` (`x < ∞` excludes
-/// them), so differential tests against this path use finite data values;
-/// the postings path is exact there.
-pub fn execute_rows_legacy(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
-    enum Driver<'a> {
-        Categorical(&'a [RowId]),
-        Numeric(&'a [(f64, RowId)]),
-    }
-
-    // Candidates keyed for the deterministic (len, attr, kind) tie-break;
-    // built from the canonicalized query so predicate permutations take
-    // identical paths (see `access_path`, which mirrors this selection).
-    let canon = query.canonicalize();
-    let mut candidates: Vec<((usize, usize, u8), Driver)> = Vec::new();
-
-    // Categorical equality postings.
-    for p in canon.predicates() {
-        if p.op != PredicateOp::Eq {
-            continue;
-        }
-        if let Some(cat) = p.value.as_cat() {
-            let rows = relation.rows_with_value(p.attr, cat);
-            candidates.push(((rows.len(), p.attr.index(), 0), Driver::Categorical(rows)));
-        }
-    }
-
-    // Numeric range bounds, combined per attribute.
-    let mut numeric_attrs: Vec<AttrId> = canon
-        .predicates()
-        .iter()
-        .filter(|p| p.value.as_num().is_some())
-        .map(|p| p.attr)
-        .collect();
-    numeric_attrs.sort_unstable();
-    numeric_attrs.dedup();
-    for attr in numeric_attrs {
-        match combined_bounds(&canon, attr) {
-            // Provably empty (contradictory or NaN bounds): nothing can
-            // match — don't walk any index or the verify loop.
-            Some(NumericBounds::Empty) => return Vec::new(),
-            Some(NumericBounds::Range(lo, hi)) => {
-                let rows = relation.rows_in_range(attr, lo, hi);
-                candidates.push(((rows.len(), attr.index(), 1), Driver::Numeric(rows)));
-            }
-            None => {}
-        }
-    }
-
-    let best = candidates.into_iter().min_by_key(|&(key, _)| key);
-
-    let verify = |row: RowId| query.matches(&relation.tuple(row));
-    match best {
-        Some((_, Driver::Categorical(rows))) => {
-            rows.iter().copied().filter(|&r| verify(r)).collect()
-        }
-        Some((_, Driver::Numeric(rows))) => {
-            let mut out: Vec<RowId> = rows
-                .iter()
-                .map(|&(_, r)| r)
-                .filter(|&r| verify(r))
-                .collect();
-            out.sort_unstable();
-            out
-        }
-        None => relation.rows().filter(|&r| verify(r)).collect(),
-    }
-}
-
-/// Combined `[lo, hi)` driver bounds implied by `query`'s numeric
-/// predicates on `attr`.
-enum NumericBounds {
-    /// Drive from this half-open range (a *superset* of the matches —
-    /// every predicate is re-verified, so `>`/`=`/`<=` are widened).
-    Range(f64, f64),
-    /// The bounds are provably empty: contradictory (`lo >= hi`, which
-    /// includes the half-open `Ge v ∧ Lt v` case) or NaN-valued (no IEEE
-    /// comparison admits NaN, so such a predicate matches nothing).
-    Empty,
-}
-
-/// `None` when `query` has no numeric predicate on `attr`.
-fn combined_bounds(query: &SelectionQuery, attr: AttrId) -> Option<NumericBounds> {
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-    let mut found = false;
-    for p in query.predicates() {
-        if p.attr != attr {
-            continue;
-        }
-        let Some(v) = p.value.as_num() else { continue };
-        found = true;
-        // `lo.max(NaN)` would silently keep `lo`, widening the driver to
-        // the full relation for a predicate that can match nothing.
-        if v.is_nan() {
-            return Some(NumericBounds::Empty);
-        }
-        match p.op {
-            PredicateOp::Ge | PredicateOp::Gt => lo = lo.max(v),
-            PredicateOp::Lt => hi = hi.min(v),
-            PredicateOp::Le => hi = hi.min(v.next_up()),
-            PredicateOp::Eq => {
-                lo = lo.max(v);
-                hi = hi.min(v.next_up());
-            }
-        }
-    }
-    match found {
-        // `lo == hi` is the provably-empty half-open range (`Ge v ∧ Lt
-        // v`), not a drivable one.
-        true if lo < hi => Some(NumericBounds::Range(lo, hi)),
-        true => Some(NumericBounds::Empty),
-        false => None,
-    }
 }
 
 /// Evaluate a selection and decode the matching tuples.
@@ -233,7 +27,7 @@ pub fn execute(relation: &Relation, query: &SelectionQuery) -> Vec<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aimq_catalog::{AttrId, Predicate, Schema, Value};
+    use aimq_catalog::{AttrId, Predicate, PredicateOp, Schema, Value};
     use proptest::prelude::*;
 
     fn relation() -> Relation {
@@ -270,7 +64,6 @@ mod tests {
         let r = relation();
         let q = SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("Toyota"))]);
         assert_eq!(execute_rows(&r, &q), vec![0, 1, 3]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![0, 1, 3]);
     }
 
     #[test]
@@ -285,7 +78,6 @@ mod tests {
             },
         ]);
         assert_eq!(execute_rows(&r, &q), vec![1, 3]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![1, 3]);
     }
 
     #[test]
@@ -297,7 +89,6 @@ mod tests {
             value: Value::num(2001.0),
         }]);
         assert_eq!(execute_rows(&r, &q), vec![2, 4]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![2, 4]);
     }
 
     #[test]
@@ -317,7 +108,6 @@ mod tests {
             },
         ]);
         assert_eq!(execute_rows(&r, &q), vec![1, 3]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![1, 3]);
     }
 
     #[test]
@@ -325,7 +115,6 @@ mod tests {
         let r = relation();
         let q = SelectionQuery::new(vec![Predicate::eq(AttrId(3), Value::num(8500.0))]);
         assert_eq!(execute_rows(&r, &q), vec![3]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![3]);
     }
 
     #[test]
@@ -344,15 +133,13 @@ mod tests {
             },
         ]);
         assert!(execute_rows(&r, &q).is_empty());
-        assert!(execute_rows_legacy(&r, &q).is_empty());
-        assert_eq!(access_path(&r, &q), AccessPath::EmptyBounds(AttrId(3)));
     }
 
     #[test]
-    fn touching_bounds_short_circuit_to_empty() {
+    fn touching_bounds_are_empty() {
         let r = relation();
-        // `Ge v ∧ Lt v`: lo == hi, a provably-empty half-open range that
-        // used to reach rows_in_range instead of short-circuiting.
+        // `Ge v ∧ Lt v` is a provably-empty half-open range, alone or
+        // beside a categorical predicate that matches rows.
         let q = SelectionQuery::new(vec![
             Predicate {
                 attr: AttrId(3),
@@ -366,8 +153,6 @@ mod tests {
             },
         ]);
         assert!(execute_rows(&r, &q).is_empty());
-        assert!(execute_rows_legacy(&r, &q).is_empty());
-        // The short-circuit fires even when another driver is available.
         let q_with_cat = SelectionQuery::new(vec![
             Predicate::eq(AttrId(0), Value::cat("Toyota")),
             Predicate {
@@ -381,18 +166,13 @@ mod tests {
                 value: Value::num(9000.0),
             },
         ]);
-        assert!(execute_rows_legacy(&r, &q_with_cat).is_empty());
-        assert_eq!(
-            access_path(&r, &q_with_cat),
-            AccessPath::EmptyBounds(AttrId(3))
-        );
+        assert!(execute_rows(&r, &q_with_cat).is_empty());
     }
 
     #[test]
     fn nan_bounds_are_empty_not_full_scans() {
         let r = relation();
-        // `lo.max(NaN)` used to keep `lo`, widening the driver to the
-        // whole relation for a predicate that matches nothing.
+        // No IEEE comparison admits NaN, so every operator matches nothing.
         for op in [
             PredicateOp::Eq,
             PredicateOp::Lt,
@@ -406,15 +186,12 @@ mod tests {
                 value: Value::num(f64::NAN),
             }]);
             assert!(execute_rows(&r, &q).is_empty(), "{op:?}");
-            assert!(execute_rows_legacy(&r, &q).is_empty(), "{op:?}");
-            assert_eq!(access_path(&r, &q), AccessPath::EmptyBounds(AttrId(3)));
         }
     }
 
     #[test]
-    fn permuted_predicates_take_identical_access_paths() {
+    fn permuted_predicates_return_identical_rows() {
         let r = relation();
-        // Toyota (3 rows) and Year >= 1998 covers all 6 — Make wins.
         let a = Predicate::eq(AttrId(0), Value::cat("Toyota"));
         let b = Predicate::eq(AttrId(1), Value::cat("Camry"));
         let c = Predicate {
@@ -428,36 +205,18 @@ mod tests {
             vec![b.clone(), c.clone(), a.clone()],
             vec![b.clone(), a.clone(), c.clone(), a.clone()],
         ];
-        let paths: Vec<AccessPath> = perms
-            .iter()
-            .map(|p| access_path(&r, &SelectionQuery::new(p.clone())))
-            .collect();
-        assert!(
-            paths.iter().all(|&p| p == paths[0]),
-            "permutations disagreed: {paths:?}"
-        );
-        assert_eq!(paths[0], AccessPath::Categorical(AttrId(1))); // Camry: 2 rows
-                                                                  // Equal-size ties break by attribute then kind: Honda postings
-                                                                  // (2 rows, attr 0) vs Camry postings (2 rows, attr 1).
-        let tie = SelectionQuery::new(vec![
-            Predicate::eq(AttrId(1), Value::cat("Camry")),
-            Predicate::eq(AttrId(0), Value::cat("Honda")),
-        ]);
-        assert_eq!(access_path(&r, &tie), AccessPath::Categorical(AttrId(0)));
+        for p in &perms {
+            assert_eq!(
+                execute_rows(&r, &SelectionQuery::new(p.clone())),
+                vec![0, 1]
+            );
+        }
     }
 
     #[test]
     fn empty_query_matches_everything() {
         let r = relation();
         assert_eq!(execute_rows(&r, &SelectionQuery::all()).len(), r.len());
-        assert_eq!(
-            execute_rows_legacy(&r, &SelectionQuery::all()).len(),
-            r.len()
-        );
-        assert_eq!(
-            access_path(&r, &SelectionQuery::all()),
-            AccessPath::FullScan
-        );
     }
 
     #[test]
@@ -465,7 +224,6 @@ mod tests {
         let r = relation();
         let q = SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("BMW"))]);
         assert!(execute(&r, &q).is_empty());
-        assert!(execute_rows_legacy(&r, &q).is_empty());
     }
 
     #[test]
@@ -476,7 +234,6 @@ mod tests {
             Predicate::eq(AttrId(1), Value::cat("Camry")),
         ]);
         assert_eq!(execute_rows(&r, &q), vec![0, 1]);
-        assert_eq!(execute_rows_legacy(&r, &q), vec![0, 1]);
     }
 
     #[test]
@@ -496,12 +253,21 @@ mod tests {
         r.rows().filter(|&i| q.matches(&r.tuple(i))).collect()
     }
 
+    /// A data value: mostly finite, with `+∞` and `-∞` rows mixed in.
+    fn data_value(code: u8, finite: f64) -> f64 {
+        match code {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            _ => finite,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn index_paths_agree_with_full_scan(
-            rows in prop::collection::vec((0u32..4, 0.0f64..100.0), 1..60),
+            rows in prop::collection::vec((0u32..4, 0u8..10, 0.0f64..100.0), 1..60),
             make in 0u32..4,
             lo in 0.0f64..100.0,
             width in 0.0f64..60.0,
@@ -514,9 +280,12 @@ mod tests {
                 .unwrap();
             let tuples: Vec<Tuple> = rows
                 .iter()
-                .map(|&(m, p)| {
-                    Tuple::new(&schema, vec![Value::cat(format!("m{m}")), Value::num(p)])
-                        .unwrap()
+                .map(|&(m, code, p)| {
+                    Tuple::new(
+                        &schema,
+                        vec![Value::cat(format!("m{m}")), Value::num(data_value(code, p))],
+                    )
+                    .unwrap()
                 })
                 .collect();
             let r = Relation::from_tuples(schema, &tuples).unwrap();
@@ -527,44 +296,37 @@ mod tests {
                 Predicate { attr: AttrId(1), op, value: Value::num(lo) },
                 Predicate { attr: AttrId(1), op: PredicateOp::Lt, value: Value::num(lo + width) },
             ]);
-            let expect = scan(&r, &q);
-            prop_assert_eq!(&execute_rows(&r, &q), &expect);
-            prop_assert_eq!(&execute_rows_legacy(&r, &q), &expect);
+            prop_assert_eq!(&execute_rows(&r, &q), &scan(&r, &q));
 
-            // Numeric-only query too (forces the range driver).
+            // Numeric-only query too.
             let q = SelectionQuery::new(vec![
                 Predicate { attr: AttrId(1), op, value: Value::num(lo) },
             ]);
-            let expect = scan(&r, &q);
-            prop_assert_eq!(&execute_rows(&r, &q), &expect);
-            prop_assert_eq!(&execute_rows_legacy(&r, &q), &expect);
+            prop_assert_eq!(&execute_rows(&r, &q), &scan(&r, &q));
         }
 
         #[test]
         fn non_finite_predicate_values_agree_with_full_scan(
-            rows in prop::collection::vec(0.0f64..100.0, 1..40),
+            rows in prop::collection::vec((0u8..10, 0.0f64..100.0), 1..40),
             bound_pick in 0u8..4,
             op_pick in 0u8..5,
         ) {
             let schema = Schema::builder("R").numeric("X").build().unwrap();
             let tuples: Vec<Tuple> = rows
                 .iter()
-                .map(|&x| Tuple::new(&schema, vec![Value::num(x)]).unwrap())
+                .map(|&(code, x)| Tuple::new(&schema, vec![Value::num(data_value(code, x))]).unwrap())
                 .collect();
             let r = Relation::from_tuples(schema, &tuples).unwrap();
 
-            // Non-finite constants: NaN drivers must be empty, infinities
-            // must not widen into full scans of non-matching rows.
+            // Non-finite constants: NaN must match nothing, infinities
+            // must match exactly the rows the scan admits — `+∞`/`-∞`
+            // data rows included.
             let v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 50.0][bound_pick as usize];
             let op = [PredicateOp::Ge, PredicateOp::Gt, PredicateOp::Le, PredicateOp::Lt, PredicateOp::Eq][op_pick as usize];
             let q = SelectionQuery::new(vec![
                 Predicate { attr: AttrId(0), op, value: Value::num(v) },
             ]);
-            let expect = scan(&r, &q);
-            prop_assert_eq!(&execute_rows(&r, &q), &expect);
-            // Data values stay finite, so the legacy half-open driver is
-            // exact here too (its +∞-data blind spot never triggers).
-            prop_assert_eq!(&execute_rows_legacy(&r, &q), &expect);
+            prop_assert_eq!(&execute_rows(&r, &q), &scan(&r, &q));
         }
     }
 }

@@ -59,7 +59,7 @@ pub use cache::{CachedWebDb, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_STRIPES};
 pub use column::{Column, NULL_CODE};
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
-pub use executor::{access_path, execute, execute_rows, execute_rows_legacy, AccessPath};
+pub use executor::{execute, execute_rows};
 pub use facet::FacetTree;
 pub use fault::{FaultInjectingWebDb, FaultProfile, RateLimitWindow, TruncationPolicy};
 pub use federated::{

@@ -126,20 +126,6 @@ impl Relation {
         }
     }
 
-    /// Rows whose numeric attribute `attr` lies in `[lo, hi)`, via the
-    /// sorted index (binary search on both bounds). Rows come back in
-    /// ascending *value* order. Empty for categorical attributes. Pass
-    /// `f64::NEG_INFINITY` / `f64::INFINITY` for open bounds.
-    pub fn rows_in_range(&self, attr: AttrId, lo: f64, hi: f64) -> &[(f64, RowId)] {
-        let index = match self.sorted_numeric.get(attr.index()) {
-            Some(idx) => idx.as_slice(),
-            None => return &[],
-        };
-        let start = index.partition_point(|&(v, _)| v < lo);
-        let end = index.partition_point(|&(v, _)| v < hi);
-        &index[start..end] // aimq-lint: allow(indexing) -- partition_point bounds: start <= end <= len
-    }
-
     /// The full value-ascending `(value, row)` index of numeric attribute
     /// `attr` (NaN/null rows excluded at build time). Empty for
     /// categorical or out-of-range attributes.
@@ -448,21 +434,17 @@ mod tests {
     #[test]
     fn numeric_range_index_binary_search() {
         let r = sample_relation();
-        // Prices: 10000, 9500, 8000, 12000, 7000.
-        let hits: Vec<f64> = r
-            .rows_in_range(AttrId(2), 8000.0, 10000.0)
-            .iter()
-            .map(|&(v, _)| v)
-            .collect();
-        assert_eq!(hits, vec![8000.0, 9500.0]);
-        // Open bounds cover everything, in ascending order.
-        let all = r.rows_in_range(AttrId(2), f64::NEG_INFINITY, f64::INFINITY);
-        assert_eq!(all.len(), 5);
-        assert!(all.windows(2).all(|w| w[0].0 <= w[1].0));
+        // Prices: 10000, 9500, 8000, 12000, 7000 — indexed in ascending
+        // value order, so a range is a binary-searched slice.
+        let index = r.numeric_sorted(AttrId(2));
+        let values: Vec<f64> = index.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, vec![7000.0, 8000.0, 9500.0, 10000.0, 12000.0]);
+        let start = index.partition_point(|&(v, _)| v < 8000.0);
+        let end = index.partition_point(|&(v, _)| v < 10000.0);
+        let hits: Vec<(f64, RowId)> = index.get(start..end).unwrap().to_vec();
+        assert_eq!(hits, vec![(8000.0, 2), (9500.0, 1)]);
         // Categorical attributes have no numeric index.
-        assert!(r.rows_in_range(AttrId(0), 0.0, 1e9).is_empty());
-        // Empty range.
-        assert!(r.rows_in_range(AttrId(2), 100.0, 100.0).is_empty());
+        assert!(r.numeric_sorted(AttrId(0)).is_empty());
     }
 
     #[test]
@@ -471,9 +453,7 @@ mod tests {
         let t1 = Tuple::new(&s, vec![Value::cat("A"), Value::cat("B"), Value::Null]).unwrap();
         let t2 = Tuple::new(&s, vec![Value::cat("A"), Value::cat("B"), Value::num(5.0)]).unwrap();
         let r = Relation::from_tuples(s, &[t1, t2]).unwrap();
-        let hits = r.rows_in_range(AttrId(2), f64::NEG_INFINITY, f64::INFINITY);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0], (5.0, 1));
+        assert_eq!(r.numeric_sorted(AttrId(2)), &[(5.0, 1)]);
     }
 
     #[test]

@@ -356,9 +356,7 @@ impl StatsCell {
 ///
 /// The primary access point is [`WebDatabase::try_query`]: sources are
 /// *fallible* (they time out, rate-limit, truncate and disappear), and the
-/// engine degrades gracefully around those failures. The infallible
-/// [`WebDatabase::query`] remains as a migration shim for callers that
-/// predate the fault model; it swallows errors and truncation.
+/// engine degrades gracefully around those failures.
 ///
 /// Implementations must be `Send + Sync`: the serving runtime
 /// (`aimq-serve`) shares one decorated source across a pool of worker
@@ -372,16 +370,6 @@ pub trait WebDatabase: Send + Sync {
     /// Evaluate a boolean selection query, returning one result page or a
     /// typed failure.
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError>;
-
-    /// Legacy infallible shim: evaluate `query`, mapping any failure to an
-    /// empty result and dropping the truncation flag. New code should call
-    /// [`WebDatabase::try_query`] and handle degradation explicitly.
-    // aimq-probe: entry -- legacy shim over try_query; access accounting lives in the implementor's AccessStats meter
-    fn query(&self, query: &SelectionQuery) -> Vec<Tuple> {
-        self.try_query(query)
-            .map(|page| page.tuples)
-            .unwrap_or_default()
-    }
 
     /// Evaluate an ordered relaxation plan of selections, returning one
     /// result per query in plan order.
@@ -409,9 +397,10 @@ pub trait WebDatabase: Send + Sync {
         out
     }
 
-    /// Snapshot of the access meter. All fields are captured atomically
-    /// under one lock, so `Work/RelevantTuple` derived from a snapshot is
-    /// internally consistent even under concurrent probing.
+    /// Snapshot of the access meter. All fields are read as one torn-free
+    /// snapshot (the seqlock [`StatsCell`]), so `Work/RelevantTuple`
+    /// derived from a snapshot is internally consistent even under
+    /// concurrent probing.
     fn stats(&self) -> AccessStats;
 
     /// Reset the access meter (used between experiment runs).
@@ -549,7 +538,7 @@ mod tests {
     fn boolean_query_model() {
         let db = db();
         let q = SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("Toyota"))]);
-        let answers = db.query(&q);
+        let answers = db.try_query(&q).unwrap().tuples;
         assert_eq!(answers.len(), 2);
         assert!(answers.iter().all(|t| q.matches(t)));
     }
@@ -568,8 +557,8 @@ mod tests {
         let db = db();
         assert_eq!(db.stats(), AccessStats::default());
         let q = SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("Toyota"))]);
-        db.query(&q);
-        db.query(&SelectionQuery::all());
+        db.try_query(&q).unwrap();
+        db.try_query(&SelectionQuery::all()).unwrap();
         let s = db.stats();
         assert_eq!(s.queries_issued, 2);
         assert_eq!(s.tuples_returned, 2 + 3);
@@ -608,7 +597,7 @@ mod tests {
     fn clones_share_meter() {
         let db = db();
         let db2 = db.clone();
-        db2.query(&SelectionQuery::all());
+        db2.try_query(&SelectionQuery::all()).unwrap();
         assert_eq!(db.stats().queries_issued, 1);
     }
 
@@ -626,7 +615,7 @@ mod tests {
             let worker = db.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..500 {
-                    worker.query(&SelectionQuery::all());
+                    worker.try_query(&SelectionQuery::all()).unwrap();
                 }
             }));
         }

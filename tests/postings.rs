@@ -4,8 +4,8 @@
 //! 1. **executor identity** — over generated relations (categorical +
 //!    numeric columns, nulls and NaN rows) and generated selection
 //!    queries (duplicate predicates on one attribute included), the
-//!    posting-list executor, the legacy hash/range executor and a naive
-//!    full scan return byte-identical row sets, and a shared
+//!    posting-list executor and a naive full scan return byte-identical
+//!    row sets, and a shared
 //!    [`PlanExecutor`] answers every plan member exactly like the
 //!    one-shot path;
 //! 2. **decorator transparency** — `try_query_plan` through the
@@ -16,10 +16,11 @@
 //! 3. **federation transparency** — a replicated federation answers
 //!    plans exactly like its per-query loop, and (benign members) like
 //!    the single-source union relation, for every replication factor;
-//! 4. **engine identity** — `EngineConfig::batch_plans` is invisible
+//! 4. **engine identity** — the engine's probe-window size is invisible
 //!    end to end: ranked answers and `DegradationReport` are
-//!    byte-identical with batching on and off through the full
-//!    decorator stack under every fault profile.
+//!    byte-identical whether each tuple's whole plan or one probe at a
+//!    time goes to the source, through the full decorator stack under
+//!    every fault profile.
 
 use std::sync::OnceLock;
 
@@ -29,9 +30,9 @@ use aimq_suite::catalog::{
 use aimq_suite::data::CarDb;
 use aimq_suite::engine::{AimqSystem, AnswerSet, EngineConfig, TrainConfig};
 use aimq_suite::storage::{
-    execute_rows, execute_rows_legacy, CachedWebDb, FaultInjectingWebDb, FaultProfile,
-    FederatedWebDb, FederationPolicy, InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation,
-    ResilientWebDb, RetryPolicy, RowId, SourceSpec, WebDatabase,
+    execute_rows, CachedWebDb, FaultInjectingWebDb, FaultProfile, FederatedWebDb, FederationPolicy,
+    InMemoryWebDb, PlanExecutor, QueryError, QueryPage, Relation, ResilientWebDb, RetryPolicy,
+    RowId, SourceSpec, WebDatabase,
 };
 use proptest::prelude::*;
 
@@ -63,13 +64,12 @@ fn cat_value(code: u8) -> Value {
     }
 }
 
-/// Numeric *data* pool: finite values only (the legacy executor's
-/// half-open range drivers are exact on finite data), but with signed
-/// zeros, repeats and `Null`/NaN rows — NaN rows are excluded from the
-/// sorted index at build time and decode to `Null`, so every executor
-/// must agree they match nothing.
+/// Numeric *data* pool: infinities, signed zeros, repeats and
+/// `Null`/NaN rows — NaN rows are excluded from the sorted index at
+/// build time and decode to `Null`, so the executor must agree they
+/// match nothing.
 fn num_data_value(code: u8) -> Value {
-    match code % 9 {
+    match code % 11 {
         0 => Value::num(-1e9),
         1 => Value::num(-3.0),
         2 => Value::num(-0.0),
@@ -78,6 +78,8 @@ fn num_data_value(code: u8) -> Value {
         5 => Value::num(1.5),
         6 => Value::num(42.0),
         7 => Value::Null,
+        8 => Value::num(f64::INFINITY),
+        9 => Value::num(f64::NEG_INFINITY),
         _ => Value::num(f64::NAN),
     }
 }
@@ -167,10 +169,10 @@ fn scan(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Posting-list executor == legacy executor == naive scan, and the
-    /// answer is invariant under predicate duplication and permutation.
+    /// Posting-list executor == naive scan, and the answer is invariant
+    /// under predicate duplication and permutation.
     #[test]
-    fn three_way_executor_identity(
+    fn executor_matches_naive_scan(
         rows in proptest::collection::vec(
             (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255), 0..40),
         preds in proptest::collection::vec(
@@ -185,7 +187,6 @@ proptest! {
 
         let expected = scan(&relation, &query);
         prop_assert_eq!(&execute_rows(&relation, &query), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &query), &expected);
 
         // Duplicating the whole predicate list (duplicate predicates on
         // one attribute, by construction) must change nothing.
@@ -193,13 +194,11 @@ proptest! {
             predicates.iter().chain(predicates.iter()).cloned().collect(),
         );
         prop_assert_eq!(&execute_rows(&relation, &doubled), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &doubled), &expected);
 
         // Reversing predicate order must change nothing either.
         let reversed =
             SelectionQuery::new(predicates.iter().rev().cloned().collect());
         prop_assert_eq!(&execute_rows(&relation, &reversed), &expected);
-        prop_assert_eq!(&execute_rows_legacy(&relation, &reversed), &expected);
     }
 
     /// A shared `PlanExecutor` answers every member of a plan exactly
@@ -382,9 +381,11 @@ proptest! {
         );
     }
 
-    /// Guarantee 4: `batch_plans` is invisible end to end — ranked
-    /// answers and degradation reports are byte-identical with batching
-    /// on and off, through the full stack, under every fault profile.
+    /// Guarantee 4: the probe-window size is invisible end to end —
+    /// ranked answers and degradation reports are byte-identical with
+    /// whole-plan windows and with one-probe windows (an early-stop
+    /// target that is never reached), and so is the source meter,
+    /// through the full stack, under every fault profile.
     #[test]
     fn batched_engine_is_byte_identical_through_the_stack(
         fault_seed in 0u64..=u64::MAX,
@@ -393,15 +394,19 @@ proptest! {
     ) {
         let h = harness();
         let q = &h.queries[query_idx];
-        let run = |batch: bool| -> AnswerSet {
+        let run = |one_probe_windows: bool| -> (AnswerSet, String) {
             let db = full_stack(profile_at(profile_idx), fault_seed);
             let cfg = EngineConfig {
-                batch_plans: batch,
+                target_relevant: one_probe_windows.then_some(usize::MAX),
                 ..config()
             };
-            h.system.answer(&db, q, &cfg)
+            let result = h.system.answer(&db, q, &cfg);
+            (result, format!("{:?}", db.stats()))
         };
-        prop_assert_eq!(fingerprint(&run(true)), fingerprint(&run(false)));
+        let (batched, batched_meter) = run(false);
+        let (sequential, sequential_meter) = run(true);
+        prop_assert_eq!(fingerprint(&batched), fingerprint(&sequential));
+        prop_assert_eq!(batched_meter, sequential_meter, "source meter diverged");
     }
 }
 
