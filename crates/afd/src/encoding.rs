@@ -75,14 +75,20 @@ impl EncodedRelation {
             let col = relation.column(attr);
             match schema.domain(attr) {
                 Domain::Categorical => {
-                    // aimq-lint: allow(panic) -- Relation construction pairs Categorical schema domains with dictionary-encoded columns
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Relation construction pairs Categorical schema domains with dictionary-encoded columns"
+                    )]
                     let codes = col.codes().expect("categorical column").to_vec();
                     let card = col.dictionary().map_or(0, aimq_storage::Dictionary::len);
                     columns.push(codes);
                     cardinalities.push(card);
                 }
                 Domain::Numeric => {
-                    // aimq-lint: allow(panic) -- Relation construction pairs Numeric schema domains with f64 columns
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "Relation construction pairs Numeric schema domains with f64 columns"
+                    )]
                     let values = col.numbers().expect("numeric column");
                     let spec = config
                         .spec(attr)

@@ -300,12 +300,15 @@ impl AttributeOrdering {
 
     /// 1-based relaxation position of `attr` (the paper's
     /// `RelaxOrder(k)`).
+    #[expect(
+        clippy::expect_used,
+        reason = "relax_order is a permutation of the schema's attributes; only an AttrId minted for a different schema can miss, a caller contract violation worth surfacing loudly"
+    )]
     pub fn relax_position(&self, attr: AttrId) -> usize {
         self.relax_order
             .iter()
             .position(|&a| a == attr)
             .map(|p| p + 1)
-            // aimq-lint: allow(panic) -- relax_order is a permutation of the schema's attributes; only an AttrId minted for a different schema can miss, a caller contract violation worth surfacing loudly
             .expect("attribute belongs to ordering's schema")
     }
 

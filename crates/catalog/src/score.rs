@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn totally_ordered_including_nan() {
-        let mut xs = vec![
+        let mut xs = [
             OrderedScore(0.5),
             OrderedScore(f64::NAN),
             OrderedScore(-1.0),

@@ -83,7 +83,7 @@ fn json_from(seed: &mut u64, depth: u32) -> Json {
     let arms = if depth >= 4 { 4 } else { 6 };
     match next(seed) % arms {
         0 => Json::Null,
-        1 => Json::Bool(next(seed) % 2 == 0),
+        1 => Json::Bool(next(seed).is_multiple_of(2)),
         2 => Json::Num(num_from(seed)),
         3 => Json::Str(str_from(seed)),
         4 => {

@@ -556,8 +556,14 @@ mod tests {
         }
     }
 
+    /// Writes the mini CSV to a path of its own: tests run on parallel
+    /// threads of one process, so a per-process name would let one
+    /// test truncate or delete the file another is reading.
     fn write_mini_csv() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("aimq_cli_test_{}.csv", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("aimq_cli_test_{}_{n}.csv", std::process::id()));
         std::fs::write(
             &path,
             "Make,Model,Price\n\

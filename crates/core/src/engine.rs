@@ -1,6 +1,9 @@
-use std::collections::{BTreeMap, VecDeque};
-// aimq-lint: allow(hashmap) -- import for the insert-only `examined` set below
+#[expect(
+    clippy::disallowed_types,
+    reason = "import for the insert-only `examined` set below"
+)]
 use std::collections::HashSet;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use aimq_catalog::{AttrId, ImpreciseQuery, Json, Schema, SelectionQuery, Tuple};
@@ -182,11 +185,12 @@ impl WorkStats {
 }
 
 /// How much of the fault-free answer a degraded run can still vouch for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Completeness {
     /// No probe failed, was skipped, or came back truncated: the answer
     /// is exactly what a fault-free run at the same seeds produces (it
     /// may still be legitimately empty).
+    #[default]
     Full,
     /// Some probes failed, were abandoned, or returned clipped pages.
     /// Every returned answer is genuine and correctly ranked among the
@@ -254,12 +258,6 @@ pub struct DegradationReport {
     pub sources: Vec<SourceHealth>,
     /// The overall verdict.
     pub completeness: Completeness,
-}
-
-impl Default for Completeness {
-    fn default() -> Self {
-        Completeness::Full
-    }
 }
 
 impl DegradationReport {
@@ -592,7 +590,10 @@ pub fn answer_imprecise_query(
     // retrieved by several relaxation queries is looked at once. The set
     // is insert-only and only its `len()` is read — its randomized
     // iteration order is never observed, so it cannot leak into results.
-    // aimq-lint: allow(hashmap) -- insert-only membership set, never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "insert-only membership set, never iterated"
+    )]
     let mut examined: HashSet<Tuple> = HashSet::new();
     let mut extended: Vec<(Tuple, Provenance)> = Vec::new();
     for t in &base_set {

@@ -115,7 +115,10 @@ impl AimqSystem {
             .clone()
             .unwrap_or_else(|| BucketConfig::for_schema(&schema));
 
-        // aimq-lint: allow(wallclock) -- offline training timing (paper Table 2); never drives query-time decisions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "offline training timing (paper Table 2); never drives query-time decisions"
+        )]
         let t0 = Instant::now();
         let enc = EncodedRelation::encode(sample, &bucket);
         let mined = MinedDependencies::mine(&enc, &config.tane);
@@ -124,9 +127,13 @@ impl AimqSystem {
         } else {
             AttributeOrdering::derive_with_smoothing(&schema, &mined, config.smoothing)?
         };
-        let dependency_mining = t0.elapsed(); // aimq-lint: allow(wallclock) -- stopwatch readout
+        #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
+        let dependency_mining = t0.elapsed();
 
-        // aimq-lint: allow(wallclock) -- offline training timing (paper Table 2); never drives query-time decisions
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "offline training timing (paper Table 2); never drives query-time decisions"
+        )]
         let t1 = Instant::now();
         let sim_config = SimConfig { bucket };
         let model = if config.parallel_similarity {
@@ -134,7 +141,8 @@ impl AimqSystem {
         } else {
             SimilarityModel::build(sample, &ordering, &sim_config)
         };
-        let similarity_estimation = t1.elapsed(); // aimq-lint: allow(wallclock) -- stopwatch readout
+        #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
+        let similarity_estimation = t1.elapsed();
 
         Ok(AimqSystem {
             mined,

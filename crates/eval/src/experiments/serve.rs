@@ -299,7 +299,7 @@ pub fn run(scale: Scale, seed: u64) -> ServeBenchResult {
                 queue_capacity: queries.len().max(1),
                 deadline_ticks: 0,
                 ticks_per_probe: 1,
-                engine: engine.clone(),
+                engine,
             },
         );
 

@@ -26,10 +26,19 @@
 //!
 //! This crate deliberately sits *outside* the workspace's determinism
 //! lint scope (L3/L4): sockets, wall clocks, and sleeps are its whole
-//! job. The panic-freedom and effect-discipline lints (L1, L5, L6,
-//! L8-L10) apply in full.
+//! job. The panic-freedom lints (denied below) and the xtask
+//! concurrency and effect-discipline rules (L5, L6, L8-L10) apply in
+//! full.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod routes;
 mod server;

@@ -75,12 +75,19 @@ impl RockModel {
         // Deterministic sample of rows for the exact clustering phase.
         let sample_rows: Vec<RowId> = sample_rows(n, config.sample_size, config.seed);
 
-        // aimq-lint: allow(wallclock) -- offline training stopwatch (RockTimings); never drives clustering
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "offline training stopwatch (RockTimings); never drives clustering"
+        )]
         let t0 = Instant::now();
         let links = compute_links(&points, &sample_rows, config.theta);
-        let link_computation = t0.elapsed(); // aimq-lint: allow(wallclock) -- stopwatch readout
+        #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
+        let link_computation = t0.elapsed();
 
-        // aimq-lint: allow(wallclock) -- offline training stopwatch (RockTimings); never drives clustering
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "offline training stopwatch (RockTimings); never drives clustering"
+        )]
         let t1 = Instant::now();
         let clustering = cluster_greedy(
             &links,
@@ -88,7 +95,8 @@ impl RockModel {
             config.theta,
             config.target_clusters,
         );
-        let initial_clustering = t1.elapsed(); // aimq-lint: allow(wallclock) -- stopwatch readout
+        #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
+        let initial_clustering = t1.elapsed();
 
         // Map member indices back to relation rows, weeding out clusters
         // below the outlier threshold.
@@ -103,7 +111,10 @@ impl RockModel {
         // N_i / (n_i + 1)^f(θ) where N_i is the number of neighbors the
         // row has inside cluster i (ROCK Section 3.4); rows with no
         // neighbors anywhere stay outliers.
-        // aimq-lint: allow(wallclock) -- offline training stopwatch (RockTimings); never drives clustering
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "offline training stopwatch (RockTimings); never drives clustering"
+        )]
         let t2 = Instant::now();
         let mut assignments: Vec<Option<u32>> = vec![None; n];
         for (cid, members) in clusters.iter().enumerate() {
@@ -140,7 +151,8 @@ impl RockModel {
         for (row, cid) in labeled {
             clusters[cid as usize].push(row); // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
         }
-        let data_labeling = t2.elapsed(); // aimq-lint: allow(wallclock) -- stopwatch readout
+        #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
+        let data_labeling = t2.elapsed();
 
         RockModel {
             points,

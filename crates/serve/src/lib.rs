@@ -1,4 +1,13 @@
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 //! # aimq-serve
 //!

@@ -21,8 +21,9 @@ pub const DEFAULT_CACHE_STRIPES: usize = 1;
 #[derive(Debug, Default)]
 struct CacheState {
     /// Memoized pages, keyed on the *canonical* query form. `BTreeMap`
-    /// keeps every walk of the cache deterministic (xtask L3 bans the
-    /// randomized `HashMap` in this codebase's deterministic layers).
+    /// keeps every walk of the cache deterministic (clippy's
+    /// `disallowed_types` bans the randomized `HashMap` in this
+    /// codebase's deterministic layers).
     pages: BTreeMap<SelectionQuery, QueryPage>,
     /// Insertion order of the keys in `pages`; the front is next to be
     /// evicted. FIFO rather than LRU: eviction order then depends only on
@@ -430,7 +431,7 @@ mod tests {
         let supported = CachedWebDb::new(
             ResilientWebDb::new(
                 FaultInjectingWebDb::new(InMemoryWebDb::new(relation()), FaultProfile::none(), 1),
-                policy.clone(),
+                policy,
             ),
             16,
         );

@@ -1,4 +1,7 @@
-// aimq-lint: allow(hashmap) -- import for the insert-only interning index below
+#[expect(
+    clippy::disallowed_types,
+    reason = "import for the insert-only interning index below"
+)]
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -14,7 +17,10 @@ pub struct Dictionary {
     values: Vec<String>,
     /// Insert-only interning index; codes come from insertion order in
     /// `values` and the map's iteration order is never observed.
-    // aimq-lint: allow(hashmap) -- insert-only lookup; ordering comes from `values`
+    #[expect(
+        clippy::disallowed_types,
+        reason = "insert-only lookup; ordering comes from `values`"
+    )]
     index: HashMap<String, u32>,
 }
 
@@ -29,7 +35,10 @@ impl Dictionary {
         if let Some(&code) = self.index.get(value) {
             return code;
         }
-        // aimq-lint: allow(panic) -- hard capacity limit: 2^32 distinct strings cannot fit in memory, and wrapping codes would silently corrupt every consumer
+        #[expect(
+            clippy::expect_used,
+            reason = "hard capacity limit: 2^32 distinct strings cannot fit in memory, and wrapping codes would silently corrupt every consumer"
+        )]
         let code = u32::try_from(self.values.len()).expect("dictionary exceeds u32 codes");
         self.values.push(value.to_owned());
         self.index.insert(value.to_owned(), code);

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, CALLEE_BLOCKLIST};
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::source::AtomicRole;
 use crate::structure::{AtomicOp, FileAnalysis};
 
@@ -70,7 +70,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
         if field.family.is_none() {
             findings.push(Finding {
                 rule: "lock-discipline",
-                severity: Severity::Error,
                 line: field.line,
                 col: field.col,
                 message: format!("lock field `{}` has no lock-family annotation", field.name),
@@ -83,7 +82,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
             match &acq.family {
                 None => findings.push(Finding {
                     rule: "lock-discipline",
-                    severity: Severity::Error,
                     line: acq.line,
                     col: acq.col,
                     message: format!(
@@ -98,7 +96,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
                 }),
                 Some(fam) if acq.held.iter().any(|h| h == fam) => findings.push(Finding {
                     rule: "lock-discipline",
-                    severity: Severity::Error,
                     line: acq.line,
                     col: acq.col,
                     message: format!(
@@ -114,7 +111,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
         for b in &f.blocking {
             findings.push(Finding {
                 rule: "lock-discipline",
-                severity: Severity::Error,
                 line: b.line,
                 col: b.col,
                 message: format!(
@@ -131,7 +127,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
         if field.role.is_none() {
             findings.push(Finding {
                 rule: "atomics-audit",
-                severity: Severity::Error,
                 line: field.line,
                 col: field.col,
                 message: format!("atomic field `{}` has no role annotation", field.name),
@@ -144,7 +139,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
             match op.role {
                 None => findings.push(Finding {
                     rule: "atomics-audit",
-                    severity: Severity::Error,
                     line: op.line,
                     col: op.col,
                     message: format!(
@@ -156,7 +150,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
                 Some(AtomicRole::Counter) => {}
                 Some(AtomicRole::Flag) if all_relaxed(op) => findings.push(Finding {
                     rule: "atomics-audit",
-                    severity: Severity::Error,
                     line: op.line,
                     col: op.col,
                     message: format!(
@@ -172,7 +165,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
                 Some(AtomicRole::Seqlock) if all_relaxed(op) && !f.has_sync_op => {
                     findings.push(Finding {
                         rule: "atomics-audit",
-                        severity: Severity::Error,
                         line: op.line,
                         col: op.col,
                         message: format!(
@@ -213,7 +205,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
         if !(has_acq && has_rel) {
             findings.push(Finding {
                 rule: "atomics-audit",
-                severity: Severity::Error,
                 line: field.line,
                 col: field.col,
                 message: format!(
@@ -257,7 +248,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
                     .expect("non-empty seq_fields implies a seqlock field");
                 findings.push(Finding {
                     rule: "atomics-audit",
-                    severity: Severity::Error,
                     line: first.line,
                     col: first.col,
                     message: format!(
@@ -406,7 +396,6 @@ pub fn check_workspace(analyses: &[(usize, &FileAnalysis)]) -> Vec<(usize, Findi
             e.file_idx,
             Finding {
                 rule: "lock-discipline",
-                severity: Severity::Error,
                 line: e.line,
                 col: e.col,
                 message: format!(
@@ -566,8 +555,7 @@ impl T {\n\
     fn rev(&self) { let r = lock(&self.right); let l = lock(&self.left); }\n\
 }\n";
         let files = analyses(&[a_then_b, b_then_a]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         let found = check_workspace(&refs);
         assert_eq!(found.len(), 2, "{found:#?}");
         assert!(found.iter().any(|(i, _)| *i == 0));
@@ -589,8 +577,7 @@ impl S {\n\
     fn two(&self) { let l = lock(&self.left); let r = lock(&self.right); }\n\
 }\n";
         let files = analyses(&[consistent]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         assert!(check_workspace(&refs).is_empty());
 
         // Indirect: `helper` acquires b; `outer` calls it holding a,
@@ -608,8 +595,7 @@ impl S {\n\
     fn other(&self) { let r = lock(&self.right); let l = lock(&self.left); }\n\
 }\n";
         let files = analyses(&[indirect]);
-        let refs: Vec<(usize, &FileAnalysis)> =
-            files.iter().enumerate().map(|(i, a)| (i, a)).collect();
+        let refs: Vec<(usize, &FileAnalysis)> = files.iter().enumerate().collect();
         let found = check_workspace(&refs);
         assert!(
             found

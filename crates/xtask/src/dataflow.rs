@@ -31,7 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::source::{ScannedFile, Token};
 use crate::structure::find_functions;
 
@@ -107,7 +107,12 @@ fn check_file(file: &DataflowFile, findings: &mut Vec<(usize, Finding)>) {
                 continue; // `matches!(e, QueryError::..)` is a predicate, not a build
             }
             construction_lines.insert(t.line);
-            if file.scanned.fault_directives.iter().any(|d| d.target_line == t.line) {
+            if file
+                .scanned
+                .fault_directives
+                .iter()
+                .any(|d| d.target_line == t.line)
+            {
                 continue; // vouched sink
             }
             let variant = &toks[k + 3].text;
@@ -118,7 +123,6 @@ fn check_file(file: &DataflowFile, findings: &mut Vec<(usize, Finding)>) {
                 file.idx,
                 Finding {
                     rule: "degradation-flow",
-                    severity: Severity::Error,
                     line: t.line,
                     col: t.col,
                     message: format!(
@@ -148,7 +152,6 @@ fn check_file(file: &DataflowFile, findings: &mut Vec<(usize, Finding)>) {
                 file.idx,
                 Finding {
                     rule: "degradation-flow",
-                    severity: Severity::Error,
                     line: d.line,
                     col: 1,
                     message: format!(
@@ -277,7 +280,11 @@ fn statement_span(
             _ => {}
         }
     }
-    Stmt { start, end, terminated }
+    Stmt {
+        start,
+        end,
+        terminated,
+    }
 }
 
 fn stmt_contains(toks: &[Token], stmt: &Stmt, needle: &str) -> bool {
@@ -318,9 +325,9 @@ fn reaches_sink(
             }
             let use_stmt = statement_span(toks, body_start, body_end, u, u);
             if !use_stmt.terminated
-                || toks[use_stmt.start..use_stmt.end].iter().any(|t| {
-                    matches!(t.text.as_str(), "return" | "?" | "(" | "!")
-                })
+                || toks[use_stmt.start..use_stmt.end]
+                    .iter()
+                    .any(|t| matches!(t.text.as_str(), "return" | "?" | "(" | "!"))
                 || stmt_has_arrow(toks, &use_stmt)
             {
                 return true;
@@ -332,8 +339,7 @@ fn reaches_sink(
 
 /// `=>` anywhere in the statement (tokenized as `=` `>`).
 fn stmt_has_arrow(toks: &[Token], stmt: &Stmt) -> bool {
-    (stmt.start..stmt.end.saturating_sub(1))
-        .any(|j| toks[j].text == "=" && toks[j + 1].text == ">")
+    (stmt.start..stmt.end.saturating_sub(1)).any(|j| toks[j].text == "=" && toks[j + 1].text == ">")
 }
 
 /// Walking backward from the construction to the statement start: an
@@ -395,7 +401,10 @@ mod tests {
 
     fn run(src: &str) -> Vec<String> {
         let scanned = scan(src);
-        let files = [DataflowFile { idx: 0, scanned: &scanned }];
+        let files = [DataflowFile {
+            idx: 0,
+            scanned: &scanned,
+        }];
         check_workspace(&files)
             .into_iter()
             .map(|(_, f)| f.message)
@@ -404,11 +413,9 @@ mod tests {
 
     #[test]
     fn dropped_construction_is_flagged() {
-        let msgs = run(
-            "fn f() {\n\
+        let msgs = run("fn f() {\n\
              let _e = QueryError::Timeout;\n\
-             }\n",
-        );
+             }\n");
         assert_eq!(msgs.len(), 1, "{msgs:#?}");
         assert!(msgs[0].contains("`QueryError::Timeout` is constructed here"));
     }
@@ -425,13 +432,11 @@ mod tests {
 
     #[test]
     fn call_and_macro_arguments_sink() {
-        let msgs = run(
-            "fn f(stats: &mut AccessStats) {\n\
+        let msgs = run("fn f(stats: &mut AccessStats) {\n\
              stats.record(ProbeError::Source { probe_index: 0, value: v(), error: e() });\n\
              let faults = vec![QueryError::Timeout, QueryError::Transient];\n\
              consume(faults);\n\
-             }\n",
-        );
+             }\n");
         assert!(msgs.is_empty(), "{msgs:#?}");
     }
 
@@ -456,50 +461,40 @@ mod tests {
 
     #[test]
     fn let_binding_tracks_to_a_later_sink() {
-        let sunk = run(
-            "fn f() -> Result<(), QueryError> {\n\
+        let sunk = run("fn f() -> Result<(), QueryError> {\n\
              let e = QueryError::RateLimited { retry_after: 2 };\n\
              log(&e);\n\
              Err(e)\n\
-             }\n",
-        );
+             }\n");
         assert!(sunk.is_empty(), "{sunk:#?}");
-        let dropped = run(
-            "fn f() {\n\
+        let dropped = run("fn f() {\n\
              let e = QueryError::Timeout;\n\
              let _alias = e;\n\
-             }\n",
-        );
+             }\n");
         assert_eq!(dropped.len(), 1, "{dropped:#?}");
     }
 
     #[test]
     fn fault_sink_annotation_excuses_and_goes_stale() {
-        let excused = run(
-            "fn f(slot: &mut Option<QueryError>) {\n\
+        let excused = run("fn f(slot: &mut Option<QueryError>) {\n\
              // aimq-fault: sink -- stored into the retry slot, drained by tick()\n\
              *slot = Some(QueryError::Timeout);\n\
-             }\n",
-        );
+             }\n");
         assert!(excused.is_empty(), "{excused:#?}");
-        let stale = run(
-            "fn f() -> u32 {\n\
+        let stale = run("fn f() -> u32 {\n\
              // aimq-fault: sink -- nothing here\n\
              41 + 1\n\
-             }\n",
-        );
+             }\n");
         assert_eq!(stale.len(), 1, "{stale:#?}");
         assert!(stale[0].contains("stale `aimq-fault: sink`"));
     }
 
     #[test]
     fn test_regions_are_skipped() {
-        let msgs = run(
-            "#[cfg(test)]\n\
+        let msgs = run("#[cfg(test)]\n\
              mod tests {\n\
              fn f() { let _e = QueryError::Timeout; }\n\
-             }\n",
-        );
+             }\n");
         assert!(msgs.is_empty(), "{msgs:#?}");
     }
 }

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, CALLEE_BLOCKLIST};
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::source::{ArithAnnotation, AtomicRole, ScannedFile, Token};
 use crate::structure::{FileAnalysis, BLOCKING_CALLS};
 
@@ -156,7 +156,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                         file.idx,
                         Finding {
                             rule: "probe-effect",
-                            severity: Severity::Error,
                             line: f.line,
                             col: 1,
                             message: format!(
@@ -187,7 +186,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                     file.idx,
                     Finding {
                         rule: "probe-effect",
-                        severity: Severity::Error,
                         line: call.line,
                         col: call.col,
                         message: format!(
@@ -219,7 +217,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                         file.idx,
                         Finding {
                             rule: "probe-effect",
-                            severity: Severity::Error,
                             line: f.line,
                             col: 1,
                             message: format!(
@@ -258,7 +255,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                     file.idx,
                     Finding {
                         rule: "probe-effect",
-                        severity: Severity::Error,
                         line: d.line,
                         col: 1,
                         message: format!(
@@ -361,7 +357,6 @@ fn check_result_discipline(
             file.idx,
             Finding {
                 rule: "result-discipline",
-                severity: Severity::Error,
                 line,
                 col,
                 message,
@@ -527,18 +522,17 @@ fn check_match_wildcard(
             "_" if level == 1
                 && matches!(toks[k - 1].text.as_str(), "{" | "," | "}" | "|")
                 && toks.get(k + 1).is_some_and(|n| n.text == "=")
-                && toks.get(k + 2).is_some_and(|n| n.text == ">") =>
+                && toks.get(k + 2).is_some_and(|n| n.text == ">")
+                && !file.scanned.in_test_region(toks[k].offset) =>
             {
-                if !file.scanned.in_test_region(toks[k].offset) {
-                    push(
-                        toks[k].line,
-                        toks[k].col,
-                        "wildcard `_ =>` arm in a match over a fault enum: a newly added \
-                         fault variant would be silently absorbed"
-                            .to_string(),
-                        WILDCARD_HELP,
-                    );
-                }
+                push(
+                    toks[k].line,
+                    toks[k].col,
+                    "wildcard `_ =>` arm in a match over a fault enum: a newly added \
+                     fault variant would be silently absorbed"
+                        .to_string(),
+                    WILDCARD_HELP,
+                );
             }
             _ => {}
         }
@@ -582,7 +576,6 @@ fn check_counter_arith(file: &EffectsFile, findings: &mut Vec<(usize, Finding)>)
                 file.idx,
                 Finding {
                     rule: "counter-arith",
-                    severity: Severity::Error,
                     line: d.line,
                     col: 1,
                     message: format!(
@@ -672,7 +665,6 @@ fn check_counter_arith(file: &EffectsFile, findings: &mut Vec<(usize, Finding)>)
             file.idx,
             Finding {
                 rule: "counter-arith",
-                severity: Severity::Error,
                 line: t.line,
                 col: t.col,
                 message: format!(

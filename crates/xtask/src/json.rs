@@ -6,29 +6,21 @@
 //! Both directions are hand-rolled: the offline build environment has
 //! no serde, and the schema is a single flat array of findings.
 
-use crate::{LintReport, Severity};
+use crate::LintReport;
 
-/// Serialize a report as JSON: `{"errors": N, "warnings": N,
-/// "findings": [{rule, severity, file, line, col, message, help}]}`.
+/// Serialize a report as JSON: `{"errors": N,
+/// "findings": [{rule, file, line, col, message, help}]}`.
 pub fn to_json(report: &LintReport) -> String {
     let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"errors\":{},\"warnings\":{},\"findings\":[",
-        report.errors(),
-        report.warnings()
-    ));
+    out.push_str(&format!("\"errors\":{},\"findings\":[", report.errors()));
     for (i, d) in report.diagnostics.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"col\":{},\
+            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\
              \"message\":{},\"help\":{}}}",
             quote(&d.rule),
-            quote(match d.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            }),
             quote(&d.path.display().to_string()),
             d.line,
             d.col,
@@ -276,7 +268,7 @@ fn esc_prop(s: &str) -> String {
 }
 
 /// Render parsed `--json` output as GitHub Actions annotations, one
-/// `::error`/`::warning` workflow command per finding.
+/// `::error` workflow command per finding.
 pub fn annotations(doc: &Value) -> Result<String, String> {
     let findings = doc
         .get("findings")
@@ -297,12 +289,8 @@ pub fn annotations(doc: &Value) -> Result<String, String> {
                 .and_then(Value::as_usize)
                 .ok_or_else(|| format!("finding missing numeric field `{k}`"))
         };
-        let command = match field("severity")? {
-            "warning" => "warning",
-            _ => "error",
-        };
         out.push_str(&format!(
-            "::{command} file={},line={},col={},title=aimq::{}::{}\n",
+            "::error file={},line={},col={},title=aimq::{}::{}\n",
             esc_prop(field("file")?),
             num("line")?,
             num("col")?,
@@ -324,7 +312,6 @@ mod tests {
             diagnostics: vec![
                 Diagnostic {
                     rule: "lock-discipline".into(),
-                    severity: Severity::Error,
                     path: PathBuf::from("crates/serve/src/queue.rs"),
                     line: 40,
                     col: 12,
@@ -334,7 +321,6 @@ mod tests {
                 },
                 Diagnostic {
                     rule: "indexing".into(),
-                    severity: Severity::Warning,
                     path: PathBuf::from("crates/core/src/engine.rs"),
                     line: 7,
                     col: 3,
@@ -350,8 +336,7 @@ mod tests {
     fn json_round_trips_through_the_parser() {
         let report = sample_report();
         let doc = parse(&to_json(&report)).expect("parse own output");
-        assert_eq!(doc.get("errors").and_then(Value::as_usize), Some(1));
-        assert_eq!(doc.get("warnings").and_then(Value::as_usize), Some(1));
+        assert_eq!(doc.get("errors").and_then(Value::as_usize), Some(2));
         let Some(Value::Arr(findings)) = doc.get("findings") else {
             panic!("findings array missing: {doc:?}");
         };
@@ -378,7 +363,10 @@ mod tests {
             lines[0].starts_with("::error file=crates/serve/src/queue.rs,line=40,col=12,"),
             "{ann}"
         );
-        assert!(lines[1].starts_with("::warning "), "{ann}");
+        assert!(
+            lines[1].starts_with("::error file=crates/core/src/engine.rs,"),
+            "{ann}"
+        );
         // Message text rides after the `::` separator unescaped except
         // for %, CR, LF.
         assert!(lines[0].contains("guard held across `recv`"), "{ann}");

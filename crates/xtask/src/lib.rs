@@ -1,29 +1,27 @@
 //! `cargo xtask` — repo-specific static analysis for the AIMQ
 //! workspace.
 //!
-//! The headline command, `cargo xtask lint`, enforces four invariants
-//! that ordinary type-checking cannot (see DESIGN.md, "Static analysis
-//! & invariants"):
+//! The headline command, `cargo xtask lint`, enforces the invariants
+//! that neither rustc, clippy nor Cargo can check (see DESIGN.md,
+//! "Static analysis & invariants", for the full rule → mechanism
+//! table). Panic-freedom (`clippy::unwrap_used` and friends), hash
+//! containers and wall-clock reads (`clippy.toml` `disallowed-types` /
+//! `disallowed-methods`) and the crate DAG (Cargo plus the
+//! `tests/crate_dag.rs` manifest test) are enforced by the toolchain.
+//! Two token-level rules stay here because clippy's versions would
+//! loosen them:
 //!
-//! - **L1 panic-freedom**: library crates route failures through the
-//!   `AimqError` taxonomy instead of panicking.
+//! - **`indexing`**: direct `expr[...]` indexing in the library crates
+//!   needs a justified allow. clippy's `indexing_slicing` does not flag
+//!   `Index` on `BTreeMap` or `VecDeque`.
 //! - **L2 float-ordering safety**: similarity/importance scores are
 //!   compared with `f64::total_cmp`/`OrderedScore`, never the
-//!   NaN-unsafe `partial_cmp`.
-//! - **L3 mining determinism**: the mining/ranking/answering crates
-//!   (`afd`, `sim`, `rock`, `core`, `serve`) never use
-//!   `HashMap`/`HashSet`, whose iteration order varies run to run.
-//!   Insert-only membership sets that are never iterated are safe but
-//!   still flagged: each surviving use carries an
-//!   `aimq-lint: allow(hashmap)` justification recording the audit.
-//! - **L4 wall-clock independence**: the same crates never call
-//!   `std::thread::sleep` or `Instant::now()` — results and deadline
-//!   behavior replay over `VirtualClock` ticks, so real time must not
-//!   leak into them. Offline timing measurements (training-phase
-//!   stopwatches) carry an `aimq-lint: allow(wallclock)` justification.
+//!   NaN-unsafe `partial_cmp`. A clippy `disallowed-methods` ban on
+//!   `PartialOrd::partial_cmp` would also fire inside every
+//!   `#[derive(PartialOrd)]`.
 //!
 //! With the concurrent runtime (worker pool, striped cache, atomic
-//! stats), three structure-aware families joined (see the `structure`
+//! stats), two structure-aware families joined (see the `structure`
 //! module for the analysis engine):
 //!
 //! - **L5 lock-discipline**: every owned `Mutex` belongs to a named
@@ -35,10 +33,6 @@
 //!   (`// aimq-atomic: counter|flag|seqlock -- why`);
 //!   `Ordering::Relaxed` is legal only for counters (or fenced seqlock
 //!   payloads), and flag/seqlock roles must pair Acquire with Release.
-//! - **L7 layering**: cross-crate imports and `Cargo.toml` dependencies
-//!   must follow the crate DAG
-//!   (catalog → storage → {afd, sim} → rock → core → serve → http →
-//!   bins).
 //!
 //! Three effect-system families ride on a shared call-graph fixpoint
 //! (`callgraph` module) and the directive grammar (see the `effects`
@@ -94,48 +88,30 @@ pub mod concurrency;
 pub mod dataflow;
 pub mod effects;
 pub mod json;
-pub mod layering;
 pub mod rules;
 pub mod source;
 pub mod structure;
 pub mod wire;
 
-pub use rules::{rule_info, Finding, RuleInfo, RuleSet, Severity, KNOWN_RULES, RULES};
+pub use rules::{rule_info, Finding, RuleInfo, KNOWN_RULES, RULES};
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Library crates under the panic-freedom + float-ordering rules.
-/// `http` joined with the network front door: a malformed request or a
-/// dying socket must become a typed 400/transport error, never a panic
-/// in a connection thread.
+/// Library crates under the `indexing`, float-ordering and concurrency
+/// rules (each also denies clippy's panic lints at its root). `http`
+/// joined with the network front door: a malformed request or a dying
+/// socket must become a typed 400/transport error, never a panic in a
+/// connection thread.
 pub const PANIC_CRATES: &[&str] = &[
     "catalog", "storage", "afd", "sim", "rock", "core", "serve", "http",
 ];
 
-/// Crates whose outputs feed sorted/ranked results and therefore must
-/// not iterate hash containers or read the wall clock. `core` joined
-/// the list when the probe planner grew a `BTreeMap`-keyed memo;
-/// `serve` joined with the concurrent runtime, whose deadline and
-/// overload behavior replays over `VirtualClock` ticks; `storage`
-/// joined with the posting-list executor, whose row sets must come back
-/// byte-identical run over run — the engine's answers are replayable
-/// byte for byte, so any hash container or time source these crates
-/// hold must be audited (and justified). `http` is deliberately
-/// *absent*: sockets, read-timeout ticks, and the open-loop load
-/// generator's pacing are wall-clock by nature — the determinism
-/// boundary sits at `serve`, below the wire.
-pub const DETERMINISM_CRATES: &[&str] = &["afd", "sim", "rock", "core", "serve", "storage"];
-
 /// A rendered-ready diagnostic bound to a file.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id (`panic`, `indexing`, `float-ordering`, `hashmap`,
-    /// `wallclock`, `lock-discipline`, `atomics-audit`, `layering`,
-    /// `lint-allow`).
+    /// Rule id (one of [`RULES`]).
     pub rule: String,
-    /// Error or warning.
-    pub severity: Severity,
     /// Path relative to the lint root.
     pub path: PathBuf,
     /// 1-based line.
@@ -158,22 +134,9 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Number of error-severity diagnostics.
+    /// Number of diagnostics; every finding is an error.
     pub fn errors(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity diagnostics.
-    pub fn warnings(&self) -> usize {
-        self.diagnostics.len() - self.errors()
-    }
-
-    /// `true` when the run should exit nonzero.
-    pub fn failed(&self, deny_warnings: bool) -> bool {
-        self.errors() > 0 || (deny_warnings && self.warnings() > 0)
+        self.diagnostics.len()
     }
 }
 
@@ -181,28 +144,21 @@ impl LintReport {
 ///
 /// Pass 1 walks every `.rs` file under `crates/<name>/src/` (except
 /// `xtask` itself, whose docs quote directive syntax verbatim), runs
-/// the per-file rules the crate's [`RuleSet`] selects, and retains the
+/// the per-file rules on the [`PANIC_CRATES`], and retains the
 /// structural facts. Pass 2 runs the workspace-wide checks over those
-/// facts: the cross-file lock-ordering graph (L5) and the crate DAG
-/// (L7), with pass-2 findings filtered through each file's own
-/// suppressions.
+/// facts (lock ordering, effects, wire contract, degradation flow),
+/// with pass-2 findings filtered through each file's own suppressions.
 pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
-    let (names, entries) = scan_workspace(root)?;
+    let entries = scan_workspace(root)?;
 
     for entry in &entries {
-        let ruleset = RuleSet {
-            panic_and_ordering: PANIC_CRATES.contains(&entry.crate_name.as_str()),
-            determinism: DETERMINISM_CRATES.contains(&entry.crate_name.as_str()),
-            concurrency: PANIC_CRATES.contains(&entry.crate_name.as_str()),
-        };
-        if ruleset.panic_and_ordering || ruleset.determinism {
+        if PANIC_CRATES.contains(&entry.crate_name.as_str()) {
             lint_scanned(
                 &entry.scanned,
                 &entry.analysis,
                 &entry.lines,
                 &entry.rel,
-                ruleset,
                 &mut report,
             );
         }
@@ -218,31 +174,9 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         .collect();
     let mut late: Vec<(usize, Finding)> = concurrency::check_workspace(&conc);
 
-    // Pass 2b: crate DAG from manifests + imports, over every aimq
-    // crate (bins and data included).
-    let manifests = layering::scan_manifests(root, &names)?;
-    for mf in manifests.findings {
-        report.diagnostics.push(Diagnostic {
-            rule: mf.rule.to_string(),
-            severity: Severity::Error,
-            path: mf.path,
-            line: mf.line,
-            col: 1,
-            message: mf.message,
-            snippet: mf.snippet,
-            help: mf.help.to_string(),
-        });
-    }
-    let imports: Vec<(usize, &str, &structure::FileAnalysis)> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i, e.crate_name.as_str(), &e.analysis))
-        .collect();
-    late.extend(layering::check_imports(&imports, &manifests.declared));
-
-    // Pass 2c: effect-system rules (L8 probe-effect over the shared
+    // Pass 2b: effect-system rules (L8 probe-effect over the shared
     // call graph, L9 result-discipline, L10 counter-arith) over every
-    // crate — bins and eval included, which carry no per-file ruleset.
+    // crate — bins and eval included, which the per-file rules skip.
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()
@@ -255,7 +189,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         .collect();
     late.extend(effects::check_workspace(&eff_files).findings);
 
-    // Pass 2d: wire-contract rules (L11 wire-drift shape extraction,
+    // Pass 2c: wire-contract rules (L11 wire-drift shape extraction,
     // L12 error-surface) over every crate, plus the doc-anchored
     // checks against DESIGN.md and the pinned schema inventory.
     let wire_files: Vec<wire::WireFile> = entries
@@ -275,7 +209,6 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         let design_lines: Vec<&str> = design_text.as_deref().unwrap_or("").lines().collect();
         report.diagnostics.push(Diagnostic {
             rule: "error-surface".to_string(),
-            severity: Severity::Error,
             path: PathBuf::from("DESIGN.md"),
             line: df.line,
             col: 1,
@@ -313,7 +246,6 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         if stale {
             report.diagnostics.push(Diagnostic {
                 rule: "wire-drift".to_string(),
-                severity: Severity::Error,
                 path: PathBuf::from("results/WIRE_SCHEMA.json"),
                 line: 1,
                 col: 1,
@@ -326,7 +258,7 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         }
     }
 
-    // Pass 2e: L13 degradation-flow def-use tracking, every crate.
+    // Pass 2d: L13 degradation-flow def-use tracking, every crate.
     let flow_files: Vec<dataflow::DataflowFile> = entries
         .iter()
         .enumerate()
@@ -344,7 +276,6 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         }
         report.diagnostics.push(Diagnostic {
             rule: finding.rule.to_string(),
-            severity: finding.severity,
             path: entry.rel.clone(),
             line: finding.line,
             col: finding.col,
@@ -375,9 +306,8 @@ struct Entry {
 
 /// Scan every `.rs` file under `crates/<name>/src/` (except `xtask`
 /// itself, whose docs quote directive syntax verbatim) into retained
-/// lexical + structural facts. Returns the sorted crate names and the
-/// file entries in (crate, path) order.
-fn scan_workspace(root: &Path) -> std::io::Result<(Vec<String>, Vec<Entry>)> {
+/// lexical + structural facts, in (crate, path) order.
+fn scan_workspace(root: &Path) -> std::io::Result<Vec<Entry>> {
     let crates_dir = root.join("crates");
     let mut names: Vec<String> = Vec::new();
     for entry in std::fs::read_dir(&crates_dir)? {
@@ -413,7 +343,7 @@ fn scan_workspace(root: &Path) -> std::io::Result<(Vec<String>, Vec<Entry>)> {
             });
         }
     }
-    Ok((names, entries))
+    Ok(entries)
 }
 
 /// One sanctioned probing entry point, for `cargo xtask probes` and
@@ -439,7 +369,7 @@ pub struct ProbeSummary {
 
 /// Compute the L8 probe-effect summary for the workspace at `root`.
 pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
-    let (_, entries) = scan_workspace(root)?;
+    let entries = scan_workspace(root)?;
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()
@@ -469,7 +399,7 @@ pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
 /// Render the wire-schema inventory for the workspace at `root` —
 /// the exact text pinned at `results/WIRE_SCHEMA.json`.
 pub fn wire_inventory(root: &Path) -> std::io::Result<String> {
-    let (_, entries) = scan_workspace(root)?;
+    let entries = scan_workspace(root)?;
     let wire_files: Vec<wire::WireFile> = entries
         .iter()
         .enumerate()
@@ -497,25 +427,25 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint one file's text under `ruleset`, appending to `report`.
+/// Lint one library-crate file's text, appending to `report`.
 /// Standalone entry point (tests, single-file use); [`lint_root`]
 /// drives the shared implementation directly so it can retain the
 /// structural facts for the workspace passes.
-pub fn lint_file(text: &str, rel_path: &Path, ruleset: RuleSet, report: &mut LintReport) {
+pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
     let scanned = source::scan(text);
     let analysis = structure::analyze(&scanned);
     let lines: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
-    lint_scanned(&scanned, &analysis, &lines, rel_path, ruleset, report);
+    lint_scanned(&scanned, &analysis, &lines, rel_path, report);
 }
 
 /// Per-file pass over pre-scanned facts: directive hygiene, the
-/// token-level rules (L1–L4), and the file-local halves of L5/L6.
+/// token-level rules (`indexing`, float-ordering), and the file-local
+/// halves of L5/L6.
 fn lint_scanned(
     scanned: &source::ScannedFile,
     analysis: &structure::FileAnalysis,
     lines: &[String],
     rel_path: &Path,
-    ruleset: RuleSet,
     report: &mut LintReport,
 ) {
     let snippet = |line: usize| -> String {
@@ -530,7 +460,6 @@ fn lint_scanned(
     for (line, msg) in &scanned.bad_directives {
         report.diagnostics.push(Diagnostic {
             rule: "lint-allow".to_string(),
-            severity: Severity::Error,
             path: rel_path.to_path_buf(),
             line: *line,
             col: 1,
@@ -546,7 +475,6 @@ fn lint_scanned(
             if !KNOWN_RULES.contains(&rule.as_str()) {
                 report.diagnostics.push(Diagnostic {
                     rule: "lint-allow".to_string(),
-                    severity: Severity::Error,
                     path: rel_path.to_path_buf(),
                     line: allow.line,
                     col: 1,
@@ -561,17 +489,14 @@ fn lint_scanned(
         }
     }
 
-    let mut findings = rules::check(scanned, ruleset);
-    if ruleset.concurrency {
-        findings.extend(concurrency::check_file(analysis));
-    }
+    let mut findings = rules::check(scanned);
+    findings.extend(concurrency::check_file(analysis));
     for finding in findings {
         if scanned.is_allowed(finding.rule, finding.line) {
             continue;
         }
         report.diagnostics.push(Diagnostic {
             rule: finding.rule.to_string(),
-            severity: finding.severity,
             path: rel_path.to_path_buf(),
             line: finding.line,
             col: finding.col,
@@ -584,12 +509,8 @@ fn lint_scanned(
 
 /// Render one diagnostic rustc-style.
 pub fn render(diag: &Diagnostic) -> String {
-    let label = match diag.severity {
-        Severity::Error => "error",
-        Severity::Warning => "warning",
-    };
     let mut out = String::new();
-    let _ = writeln!(out, "{label}[aimq::{}]: {}", diag.rule, diag.message);
+    let _ = writeln!(out, "error[aimq::{}]: {}", diag.rule, diag.message);
     let _ = writeln!(
         out,
         "  --> {}:{}:{}",
@@ -617,25 +538,16 @@ mod tests {
     fn lint_file_reports_and_suppresses() {
         let src = "\
 fn risky(xs: &[f64]) -> f64 {
-    let v = xs.first().unwrap();
-    *v
+    let v = xs[0];
+    v
 }
 fn excused(xs: &[f64]) -> f64 {
-    // aimq-lint: allow(panic) -- the caller guarantees non-empty input
-    *xs.first().unwrap()
+    // aimq-lint: allow(indexing) -- the caller guarantees non-empty input
+    xs[0]
 }
 ";
         let mut report = LintReport::default();
-        lint_file(
-            src,
-            Path::new("crates/afd/src/x.rs"),
-            RuleSet {
-                panic_and_ordering: true,
-                determinism: true,
-                concurrency: true,
-            },
-            &mut report,
-        );
+        lint_file(src, Path::new("crates/afd/src/x.rs"), &mut report);
         assert_eq!(report.errors(), 1, "{:#?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 2);
     }
@@ -643,18 +555,17 @@ fn excused(xs: &[f64]) -> f64 {
     #[test]
     fn render_is_rustc_shaped() {
         let diag = Diagnostic {
-            rule: "panic".into(),
-            severity: Severity::Error,
+            rule: "indexing".into(),
             path: PathBuf::from("crates/afd/src/x.rs"),
             line: 2,
-            col: 24,
-            message: "`.unwrap()` in library code can panic".into(),
-            snippet: "    let v = xs.first().unwrap();".into(),
-            help: "propagate instead".into(),
+            col: 15,
+            message: "direct indexing can panic on out-of-range input".into(),
+            snippet: "    let v = xs[0];".into(),
+            help: "prefer `.get()`".into(),
         };
         let text = render(&diag);
-        assert!(text.contains("error[aimq::panic]"));
-        assert!(text.contains("--> crates/afd/src/x.rs:2:24"));
+        assert!(text.contains("error[aimq::indexing]"));
+        assert!(text.contains("--> crates/afd/src/x.rs:2:15"));
         assert!(text.contains("= help:"));
     }
 }

@@ -1,11 +1,9 @@
 //! CLI for the workspace's static-analysis suite.
 //!
 //! ```text
-//! cargo xtask lint                 # lint the workspace, exit 1 on errors
-//! cargo xtask lint --deny-warnings # promote warnings (indexing) too
+//! cargo xtask lint                 # lint the workspace, exit 1 on findings
 //! cargo xtask lint --root DIR      # lint a workspace-shaped tree (fixtures)
 //! cargo xtask lint --json          # machine-readable findings on stdout
-//! cargo xtask lint --changed       # scope per-file findings to git-changed files
 //! cargo xtask lint --explain RULE  # print a rule's rationale and remedy
 //! cargo xtask probes               # print the probing entry-point list
 //! cargo xtask wire                 # print the JSON wire-schema inventory
@@ -38,8 +36,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: cargo xtask lint [--root DIR] [--deny-warnings] [--json] [--changed] \
-         [--explain RULE]\n\
+        "usage: cargo xtask lint [--root DIR] [--json] [--explain RULE]\n\
          \x20      cargo xtask probes [--root DIR] [--write]\n\
          \x20      cargo xtask wire [--root DIR] [--write]\n\
          \x20      cargo xtask pin [--root DIR] [--write]\n\
@@ -55,44 +52,6 @@ fn default_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-/// Files git reports as modified (vs HEAD) or untracked, relative to
-/// `root`. `None` when git is unavailable — the caller falls back to
-/// the full workspace.
-fn git_changed_files(root: &std::path::Path) -> Option<std::collections::BTreeSet<PathBuf>> {
-    let run = |args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .ok()?;
-        out.status
-            .success()
-            .then(|| String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let diffed = run(&["diff", "--name-only", "HEAD"])?;
-    let untracked = run(&["ls-files", "--others", "--exclude-standard"])?;
-    Some(
-        diffed
-            .lines()
-            .chain(untracked.lines())
-            .filter(|l| !l.is_empty())
-            .map(PathBuf::from)
-            .collect(),
-    )
-}
-
-/// Rules whose findings depend on workspace-wide state: a change in
-/// one file can surface a finding in an unchanged file, so `--changed`
-/// never filters them out.
-const CROSS_FILE_RULES: &[&str] = &[
-    "lock-discipline",
-    "layering",
-    "probe-effect",
-    "wire-drift",
-    "error-surface",
-];
-
 fn explain(rule: &str) -> ExitCode {
     let Some(info) = xtask::rule_info(rule) else {
         eprintln!(
@@ -105,11 +64,7 @@ fn explain(rule: &str) -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let severity = match info.severity {
-        xtask::Severity::Error => "error",
-        xtask::Severity::Warning => "warning",
-    };
-    println!("aimq::{} ({severity})", info.id);
+    println!("aimq::{}", info.id);
     println!("  catches:   {}", info.summary);
     println!("  rationale: {}", info.rationale);
     println!("  remedy:    {}", info.remedy);
@@ -118,9 +73,7 @@ fn explain(rule: &str) -> ExitCode {
 
 fn lint(args: Vec<String>) -> ExitCode {
     let mut root = default_root();
-    let mut deny_warnings = false;
     let mut json = false;
-    let mut changed = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -131,9 +84,7 @@ fn lint(args: Vec<String>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
-            "--changed" => changed = true,
             "--explain" => match it.next() {
                 Some(rule) => return explain(&rule),
                 None => {
@@ -149,41 +100,13 @@ fn lint(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let mut report = match xtask::lint_root(&root) {
+    let report = match xtask::lint_root(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: failed to lint {}: {err}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    // `--changed` keeps fast local runs readable: per-file findings are
-    // scoped to git-modified files, while cross-file rules (L5/L7/L8)
-    // always report workspace-wide — an edit here can break an
-    // invariant there.
-    if changed {
-        match git_changed_files(&root) {
-            Some(files) => {
-                let before = report.diagnostics.len();
-                report.diagnostics.retain(|d| {
-                    CROSS_FILE_RULES.contains(&d.rule.as_str()) || files.contains(&d.path)
-                });
-                if !json {
-                    eprintln!(
-                        "aimq-lint: --changed scoped {} per-file finding(s) to {} changed \
-                         file(s); cross-file rules ({}) stay workspace-wide",
-                        before - report.diagnostics.len(),
-                        files.len(),
-                        CROSS_FILE_RULES.join(", ")
-                    );
-                }
-            }
-            None => eprintln!(
-                "aimq-lint: --changed requested but git is unavailable here; \
-                 linting the full workspace"
-            ),
-        }
-    }
 
     if json {
         println!("{}", xtask::json::to_json(&report));
@@ -192,18 +115,13 @@ fn lint(args: Vec<String>) -> ExitCode {
             print!("{}", xtask::render(diag));
             println!();
         }
-        let (errors, warnings) = (report.errors(), report.warnings());
-        if errors > 0 || warnings > 0 {
-            println!(
-                "aimq-lint: {errors} error{}, {warnings} warning{}",
-                if errors == 1 { "" } else { "s" },
-                if warnings == 1 { "" } else { "s" },
-            );
-        } else {
-            println!("aimq-lint: clean");
+        match report.errors() {
+            0 => println!("aimq-lint: clean"),
+            1 => println!("aimq-lint: 1 error"),
+            n => println!("aimq-lint: {n} errors"),
         }
     }
-    if report.failed(deny_warnings) {
+    if report.errors() > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

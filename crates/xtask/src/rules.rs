@@ -1,61 +1,35 @@
 //! The AIMQ lint rules, matched over a [`ScannedFile`].
 //!
-//! | id | severity | scope | what it catches |
-//! |---|---|---|---|
-//! | `panic` | error | eight library crates | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` |
-//! | `indexing` | warning | eight library crates | direct `expr[...]` indexing/slicing |
-//! | `float-ordering` | error | eight library crates | `.partial_cmp(` calls on scores |
-//! | `hashmap` | error | `afd`, `sim`, `rock`, `core`, `serve` | any `HashMap`/`HashSet` use |
-//! | `wallclock` | error | `afd`, `sim`, `rock`, `core`, `serve` | `thread::sleep(`, `Instant::now()`, `SystemTime::now()`, `.elapsed()` |
-//! | `lock-discipline` | error | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
-//! | `atomics-audit` | error | eight library crates | atomic fields without a role annotation, `Relaxed` outside `counter` roles, unpaired Acquire/Release |
-//! | `layering` | error | all aimq crates | upward or undeclared cross-crate dependencies and imports |
-//! | `probe-effect` | error | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
-//! | `result-discipline` | error | all aimq crates | `let _ =`, terminal `.ok();`, bare calls discarding fault-carrying `Result`s, wildcard `_ =>` arms over fault enums |
-//! | `counter-arith` | error | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching tracked budget/counter fields |
-//! | `wire-drift` | error | all aimq crates | stale `results/WIRE_SCHEMA.json`, duplicate JSON keys, unannotated conditional keys in `to_json` bodies |
-//! | `error-surface` | error | all aimq crates | fault-enum variants never named at the HTTP boundary, machine codes missing from (or drifted against) the DESIGN.md status-code table |
-//! | `degradation-flow` | error | all aimq crates | constructed fault-enum values that never reach a sink (return, `?`, call/recorder, tail position) |
-//! | `lint-allow` | error | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
+//! | id | scope | what it catches |
+//! |---|---|---|
+//! | `indexing` | eight library crates | direct `expr[...]` indexing/slicing |
+//! | `float-ordering` | eight library crates | `.partial_cmp(` calls on scores |
+//! | `lock-discipline` | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
+//! | `atomics-audit` | eight library crates | atomic fields without a role annotation, `Relaxed` outside `counter` roles, unpaired Acquire/Release |
+//! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
+//! | `result-discipline` | all aimq crates | `let _ =`, terminal `.ok();`, bare calls discarding fault-carrying `Result`s, wildcard `_ =>` arms over fault enums |
+//! | `counter-arith` | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching tracked budget/counter fields |
+//! | `wire-drift` | all aimq crates | stale `results/WIRE_SCHEMA.json`, duplicate JSON keys, unannotated conditional keys in `to_json` bodies |
+//! | `error-surface` | all aimq crates | fault-enum variants never named at the HTTP boundary, machine codes missing from (or drifted against) the DESIGN.md status-code table |
+//! | `degradation-flow` | all aimq crates | constructed fault-enum values that never reach a sink (return, `?`, call/recorder, tail position) |
+//! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
-//! `indexing` is warn-level by default — mirroring clippy's
-//! allow-by-default `indexing_slicing` — because invariant-backed
-//! indexing is pervasive in the hot paths; `--deny-warnings` promotes
-//! it for audits.
-//!
-//! `wallclock` (L4) exists because the serving runtime's tests replay
-//! deadlines and backoff schedules over `VirtualClock` ticks; a stray
-//! `thread::sleep`, `Instant::now()`, `SystemTime::now()`, or
-//! `.elapsed()` call in determinism-scoped code makes those replays
-//! timing-dependent. Method calls named `now`/`sleep` on other
-//! receivers (e.g. `clock.now()`) are not flagged — only the qualified
-//! `Instant::now` / `SystemTime::now` / `thread::sleep` forms plus the
-//! `.elapsed()` method, which only time sources provide.
+//! Every finding is an error. Panic-freedom, hash containers, the wall
+//! clock and the crate DAG are not here: clippy and Cargo enforce them
+//! (see DESIGN.md, "Static analysis & invariants").
 //!
 //! The structure-aware families L5 `lock-discipline` and L6
 //! `atomics-audit` live in [`crate::concurrency`] (facts from
-//! [`crate::structure`]); L7 `layering` lives in [`crate::layering`].
-//! They are listed here so suppression, `--explain`, and the doc table
-//! stay in one registry.
+//! [`crate::structure`]). They are listed here so suppression,
+//! `--explain`, and the doc table stay in one registry.
 
 use crate::source::ScannedFile;
-
-/// Lint severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the run.
-    Error,
-    /// Reported; fails only under `--deny-warnings`.
-    Warning,
-}
 
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule identifier as used in `aimq-lint: allow(...)`.
     pub rule: &'static str,
-    /// Error or warning.
-    pub severity: Severity,
     /// 1-based line.
     pub line: usize,
     /// 1-based column.
@@ -66,21 +40,6 @@ pub struct Finding {
     pub help: &'static str,
 }
 
-/// Which rule families apply to a crate.
-#[derive(Debug, Clone, Copy)]
-pub struct RuleSet {
-    /// L1 panic-freedom + L2 float ordering.
-    pub panic_and_ordering: bool,
-    /// L3 determinism (HashMap/HashSet ban) + L4 wall-clock ban
-    /// (`thread::sleep` / `Instant::now`): both guard the same property
-    /// — replayability of results — so they share a scope.
-    pub determinism: bool,
-    /// L5 lock-discipline + L6 atomics-audit (structure-aware checks in
-    /// [`crate::concurrency`]). Shares the L1 scope: any library crate
-    /// may grow shared state.
-    pub concurrency: bool,
-}
-
 /// Keywords that can legitimately precede `[` without it being an
 /// indexing expression (slice patterns, `for x in [..]`, etc.).
 const NON_INDEX_KEYWORDS: &[&str] = &[
@@ -89,10 +48,11 @@ const NON_INDEX_KEYWORDS: &[&str] = &[
     "type", "trait", "unsafe", "extern", "box", "await", "yield",
 ];
 
-/// Run every applicable rule over `file`, honoring test regions and
-/// suppressions. Suppressed findings are dropped; malformed directives
-/// surface as `lint-allow` errors from [`crate::lint_file`].
-pub fn check(file: &ScannedFile, rules: RuleSet) -> Vec<Finding> {
+/// Run the token-level rules (`float-ordering`, `indexing`) over
+/// `file`, skipping test regions. Suppression is applied by the caller;
+/// malformed directives surface as `lint-allow` errors from
+/// [`crate::lint_file`].
+pub fn check(file: &ScannedFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     let toks = &file.tokens;
     for k in 0..toks.len() {
@@ -103,163 +63,41 @@ pub fn check(file: &ScannedFile, rules: RuleSet) -> Vec<Finding> {
         let prev = k.checked_sub(1).map(|p| &toks[p]);
         let next = toks.get(k + 1);
 
-        if rules.panic_and_ordering {
-            // `.unwrap()` / `.expect(`
-            if (t.text == "unwrap" || t.text == "expect")
-                && prev.is_some_and(|p| p.text == ".")
-                && next.is_some_and(|n| n.text == "(")
-            {
-                findings.push(Finding {
-                    rule: "panic",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: format!("`.{}()` in library code can panic", t.text),
-                    help: "propagate through the AimqError taxonomy (`?`, `ok_or`, `unwrap_or`) \
-                           or justify with `// aimq-lint: allow(panic) -- <invariant>`",
-                });
-            }
-            // `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-            if matches!(
-                t.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            ) && next.is_some_and(|n| n.text == "!")
-                && !prev.is_some_and(|p| p.text == "." || p.text == ":")
-            {
-                findings.push(Finding {
-                    rule: "panic",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: format!("`{}!` in library code", t.text),
-                    help:
-                        "return an AimqError variant (or debug_assert! for internal invariants); \
-                           justify exceptions with `// aimq-lint: allow(panic) -- <invariant>`",
-                });
-            }
-            // `.partial_cmp(` — NaN-unsafe comparison on similarity /
-            // importance scores.
-            if t.text == "partial_cmp"
-                && prev.is_some_and(|p| p.text == ".")
-                && next.is_some_and(|n| n.text == "(")
-            {
-                findings.push(Finding {
-                    rule: "float-ordering",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: "`.partial_cmp()` on scores is NaN-unsafe and breaks total ranking"
-                        .to_string(),
-                    help: "use `f64::total_cmp`, `aimq_catalog::OrderedScore`, or justify with \
-                           `// aimq-lint: allow(float-ordering) -- <why NaN cannot occur>`",
-                });
-            }
-            // Direct indexing `expr[...]` (warn-level). A lifetime ident
-            // before the bracket (`&'a [u8]`) is a slice type, not an
-            // indexing expression.
-            if t.text == "["
-                && prev.is_some_and(|p| {
-                    (p.is_ident && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
-                        || p.text == ")"
-                        || p.text == "]"
-                })
-                && !(prev.is_some_and(|p| p.is_ident)
-                    && k.checked_sub(2).is_some_and(|p2| toks[p2].text == "'"))
-            {
-                findings.push(Finding {
-                    rule: "indexing",
-                    severity: Severity::Warning,
-                    line: t.line,
-                    col: t.col,
-                    message: "direct indexing can panic on out-of-range input".to_string(),
-                    help: "prefer `.get()`/`.get_mut()` with error propagation where the index \
-                           is not invariant-backed",
-                });
-            }
-        }
-
-        if rules.determinism {
-            // L4: `Instant::now(` / `thread::sleep(` — wall-clock reads
-            // and real sleeps make replay timing-dependent. Only the
-            // path-qualified form is flagged: the tokenizer emits `::`
-            // as two `:` tokens, so the shape is
-            // `<qualifier> : : <name> (`. Method calls like
-            // `clock.now()` have a `.` before the name and don't match.
-            let qualified_by = |q: &str| {
-                k.checked_sub(3).is_some_and(|i| {
-                    toks.get(i).is_some_and(|t3| t3.text == q && t3.is_ident)
-                        && toks.get(i + 1).is_some_and(|c| c.text == ":")
-                        && toks.get(i + 2).is_some_and(|c| c.text == ":")
-                })
-            };
-            if t.text == "now"
-                && next.is_some_and(|n| n.text == "(")
-                && (qualified_by("Instant") || qualified_by("SystemTime"))
-            {
-                findings.push(Finding {
-                    rule: "wallclock",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`{}::now()` reads the wall clock in a determinism-scoped crate",
-                        if qualified_by("Instant") {
-                            "Instant"
-                        } else {
-                            "SystemTime"
-                        }
-                    ),
-                    help: "thread a `VirtualClock` (or tick counter) through instead, or justify \
-                           with `// aimq-lint: allow(wallclock) -- <why timing never affects \
-                           results>`",
-                });
-            }
-            // `.elapsed()` — only time sources (`Instant`, `SystemTime`)
-            // provide it, so any receiver is a wall-clock read.
-            if t.text == "elapsed"
-                && prev.is_some_and(|p| p.text == ".")
-                && next.is_some_and(|n| n.text == "(")
-            {
-                findings.push(Finding {
-                    rule: "wallclock",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: "`.elapsed()` measures real time in a determinism-scoped crate"
-                        .to_string(),
-                    help: "count `VirtualClock` ticks instead, or justify with \
-                           `// aimq-lint: allow(wallclock) -- <why timing never affects \
-                           results>`",
-                });
-            }
-            if t.text == "sleep" && next.is_some_and(|n| n.text == "(") && qualified_by("thread") {
-                findings.push(Finding {
-                    rule: "wallclock",
-                    severity: Severity::Error,
-                    line: t.line,
-                    col: t.col,
-                    message: "`thread::sleep()` blocks on real time in a determinism-scoped crate"
-                        .to_string(),
-                    help: "advance a `VirtualClock` or park on a `Condvar` with an explicit \
-                           signal; justify exceptions with \
-                           `// aimq-lint: allow(wallclock) -- <justification>`",
-                });
-            }
-        }
-
-        if rules.determinism && (t.text == "HashMap" || t.text == "HashSet") && t.is_ident {
+        // `.partial_cmp(` — NaN-unsafe comparison on similarity /
+        // importance scores.
+        if t.text == "partial_cmp"
+            && prev.is_some_and(|p| p.text == ".")
+            && next.is_some_and(|n| n.text == "(")
+        {
             findings.push(Finding {
-                rule: "hashmap",
-                severity: Severity::Error,
+                rule: "float-ordering",
                 line: t.line,
                 col: t.col,
-                message: format!(
-                    "`{}` iteration order is nondeterministic; mining/ranking crates must be \
-                     reproducible",
-                    t.text
-                ),
-                help: "use BTreeMap/BTreeSet, or keep the map and justify with \
-                       `// aimq-lint: allow(hashmap) -- <the keyed sort that restores order>`",
+                message: "`.partial_cmp()` on scores is NaN-unsafe and breaks total ranking"
+                    .to_string(),
+                help: "use `f64::total_cmp`, `aimq_catalog::OrderedScore`, or justify with \
+                       `// aimq-lint: allow(float-ordering) -- <why NaN cannot occur>`",
+            });
+        }
+        // Direct indexing `expr[...]`. A lifetime ident
+        // before the bracket (`&'a [u8]`) is a slice type, not an
+        // indexing expression.
+        if t.text == "["
+            && prev.is_some_and(|p| {
+                (p.is_ident && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
+                    || p.text == ")"
+                    || p.text == "]"
+            })
+            && !(prev.is_some_and(|p| p.is_ident)
+                && k.checked_sub(2).is_some_and(|p2| toks[p2].text == "'"))
+        {
+            findings.push(Finding {
+                rule: "indexing",
+                line: t.line,
+                col: t.col,
+                message: "direct indexing can panic on out-of-range input".to_string(),
+                help: "prefer `.get()`/`.get_mut()` with error propagation where the index \
+                       is not invariant-backed",
             });
         }
     }
@@ -268,14 +106,10 @@ pub fn check(file: &ScannedFile, rules: RuleSet) -> Vec<Finding> {
 
 /// Every rule id accepted inside `aimq-lint: allow(...)`.
 pub const KNOWN_RULES: &[&str] = &[
-    "panic",
     "indexing",
     "float-ordering",
-    "hashmap",
-    "wallclock",
     "lock-discipline",
     "atomics-audit",
-    "layering",
     "probe-effect",
     "result-discipline",
     "counter-arith",
@@ -290,8 +124,6 @@ pub const KNOWN_RULES: &[&str] = &[
 pub struct RuleInfo {
     /// Rule id as it appears in findings and `allow(...)` lists.
     pub id: &'static str,
-    /// Default severity.
-    pub severity: Severity,
     /// One-line description (what it catches).
     pub summary: &'static str,
     /// Why the rule exists in this workspace.
@@ -304,59 +136,29 @@ pub struct RuleInfo {
 /// including the `lint-allow` meta-rule for malformed suppressions.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "panic",
-        severity: Severity::Error,
-        summary: "`.unwrap()`, `.expect(`, and panicking macros in library crates",
-        rationale: "the engine answers imprecise queries over unreliable web sources; a panic \
-                    in library code turns one malformed page or empty probe into a crash of \
-                    the whole mining or serving run. Failures must flow through the AimqError \
-                    taxonomy so callers can degrade gracefully.",
-        remedy: "propagate with `?`, `ok_or`, or `unwrap_or`; for true invariants, justify \
-                 with `// aimq-lint: allow(panic) -- <the invariant>`.",
-    },
-    RuleInfo {
         id: "indexing",
-        severity: Severity::Warning,
         summary: "direct `expr[...]` indexing or slicing",
         rationale: "out-of-range indexing panics; most AIMQ hot paths index by invariant \
-                    (attribute counts fixed at catalog build), so this stays warn-level, but \
-                    audits promote it with --deny-warnings.",
+                    (attribute counts fixed at catalog build), so each surviving site records \
+                    that invariant. clippy's `indexing_slicing` cannot replace this rule: it \
+                    does not flag `Index` on `BTreeMap` or `VecDeque`.",
         remedy: "prefer `.get()`/`.get_mut()` with error propagation where the index is not \
-                 invariant-backed.",
+                 invariant-backed; justify the rest with \
+                 `// aimq-lint: allow(indexing) -- <the invariant>`.",
     },
     RuleInfo {
         id: "float-ordering",
-        severity: Severity::Error,
         summary: "`.partial_cmp(` on similarity/importance scores",
         rationale: "NaN makes `partial_cmp` return None, and `unwrap_or(Equal)` silently \
                     reshuffles rankings — the paper's whole output is a ranked list, so \
-                    ordering must be total.",
+                    ordering must be total. clippy's `disallowed-methods` cannot replace this \
+                    rule: a ban on `PartialOrd::partial_cmp` also fires inside every \
+                    `#[derive(PartialOrd)]`.",
         remedy: "use `f64::total_cmp` or `aimq_catalog::OrderedScore`; justify exceptions \
                  with `// aimq-lint: allow(float-ordering) -- <why NaN cannot occur>`.",
     },
     RuleInfo {
-        id: "hashmap",
-        severity: Severity::Error,
-        summary: "`HashMap`/`HashSet` in mining/ranking/answering crates",
-        rationale: "hash iteration order varies run to run; AFD mining, similarity tables, \
-                    and answer ranking must be byte-for-byte reproducible.",
-        remedy: "use BTreeMap/BTreeSet, or keep the map and justify with \
-                 `// aimq-lint: allow(hashmap) -- <the keyed sort that restores order>`.",
-    },
-    RuleInfo {
-        id: "wallclock",
-        severity: Severity::Error,
-        summary: "`thread::sleep`, `Instant::now()`, `SystemTime::now()`, or `.elapsed()` in \
-                  determinism-scoped crates",
-        rationale: "deadline and backoff behavior replays over VirtualClock ticks in tests; \
-                    real time leaking into those crates makes replays timing-dependent and \
-                    flaky.",
-        remedy: "thread a `VirtualClock` or tick counter through; justify offline stopwatches \
-                 with `// aimq-lint: allow(wallclock) -- <why timing never affects results>`.",
-    },
-    RuleInfo {
         id: "lock-discipline",
-        severity: Severity::Error,
         summary: "lock fields without a family, unresolvable or cycle-closing acquisitions, \
                   and guards held across blocking calls",
         rationale: "the concurrent runtime shares striped caches, admission queues, and \
@@ -369,7 +171,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "atomics-audit",
-        severity: Severity::Error,
         summary: "atomic fields without a role, `Relaxed` outside counter roles, and \
                   unpaired Acquire/Release",
         rationale: "~40 `Ordering::Relaxed` sites entered with the concurrent runtime; \
@@ -381,21 +182,7 @@ pub const RULES: &[RuleInfo] = &[
                  only under a version-word fence in the same function.",
     },
     RuleInfo {
-        id: "layering",
-        severity: Severity::Error,
-        summary: "cross-crate dependencies or imports that go up the crate DAG, or that \
-                  Cargo.toml never declared",
-        rationale: "the workspace layers catalog → storage → {afd, sim} → rock → core → \
-                    serve → {http, cli, eval, bench}; an upward import (storage reaching \
-                    into serve, or serve reaching into http) couples probe plumbing to \
-                    policy and blocks reuse of the lower layers.",
-        remedy: "move the shared type down (usually into catalog or storage), or justify \
-                 with `# aimq-lint: allow(layering) -- <why>` on the Cargo.toml line / \
-                 `// aimq-lint: allow(layering) -- <why>` on the import.",
-    },
-    RuleInfo {
         id: "probe-effect",
-        severity: Severity::Error,
         summary: "inferred probing paths in probe-free crates, probes made under a live lock \
                   guard, and unannotated or stale probing entry points",
         rationale: "every probe to an autonomous source must flow through the budgeted, \
@@ -411,7 +198,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "result-discipline",
-        severity: Severity::Error,
         summary: "silently discarded fallible results (`let _ =`, terminal `.ok();`, bare \
                   call statements) and wildcard `_ =>` arms over fault enums",
         rationale: "the fault taxonomy (`QueryError`, `ProbeError`, `ServeError`) exists so \
@@ -424,7 +210,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "counter-arith",
-        severity: Severity::Error,
         summary: "unchecked `+`/`-`/`*` (or compound) arithmetic in statements touching \
                   tracked budget/counter fields",
         rationale: "probe budgets, cache capacities, and statistics counters are the units \
@@ -437,7 +222,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "wire-drift",
-        severity: Severity::Error,
         summary: "stale `results/WIRE_SCHEMA.json`, duplicate keys in one JSON object \
                   literal, and keys emitted under conditionals without an \
                   `aimq-wire: optional` annotation",
@@ -453,7 +237,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "error-surface",
-        severity: Severity::Error,
         summary: "fault-enum variants never named at the HTTP mapping boundary, and \
                   `Response::error` machine codes that drift from the DESIGN.md \
                   status-code table",
@@ -469,7 +252,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "degradation-flow",
-        severity: Severity::Error,
         summary: "constructed fault-enum values (`QueryError`, `ProbeError`, \
                   `ServeError`) that never reach a sink",
         rationale: "the paper's degradation accounting treats the explanation as part of \
@@ -483,7 +265,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "lint-allow",
-        severity: Severity::Error,
         summary: "malformed, unjustified, or unknown-rule suppression directives",
         rationale: "an allow without a justification is indistinguishable from a shrug, and \
                     an allow naming a rule that does not exist suppresses nothing while \
@@ -503,31 +284,8 @@ mod tests {
     use super::*;
     use crate::source::scan;
 
-    const ALL: RuleSet = RuleSet {
-        panic_and_ordering: true,
-        determinism: true,
-        concurrency: true,
-    };
-
     fn rules_hit(src: &str) -> Vec<&'static str> {
-        check(&scan(src), ALL).into_iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn unwrap_and_expect_are_flagged() {
-        assert_eq!(rules_hit("fn f() { x.unwrap(); }"), vec!["panic"]);
-        assert_eq!(rules_hit("fn f() { x.expect(\"m\"); }"), vec!["panic"]);
-    }
-
-    #[test]
-    fn unwrap_or_variants_are_not_flagged() {
-        assert!(rules_hit("fn f() { x.unwrap_or(0); x.unwrap_or_else(f); }").is_empty());
-    }
-
-    #[test]
-    fn panic_macros_are_flagged() {
-        assert_eq!(rules_hit("fn f() { panic!(\"boom\"); }"), vec!["panic"]);
-        assert_eq!(rules_hit("fn f() { unreachable!() }"), vec!["panic"]);
+        check(&scan(src)).into_iter().map(|f| f.rule).collect()
     }
 
     #[test]
@@ -540,11 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn indexing_is_a_warning() {
-        let f = check(&scan("fn f() { let y = xs[0]; }"), ALL);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "indexing");
-        assert_eq!(f[0].severity, Severity::Warning);
+    fn indexing_is_flagged() {
+        assert_eq!(rules_hit("fn f() { let y = xs[0]; }"), vec!["indexing"]);
+        assert_eq!(rules_hit("fn f() { let y = g()[1..]; }"), vec!["indexing"]);
     }
 
     #[test]
@@ -554,67 +310,6 @@ mod tests {
         assert!(rules_hit("fn f() { let v = vec![1, 2]; }").is_empty());
         // Slice types behind a lifetime are types, not indexing.
         assert!(rules_hit("fn f<'a>(buf: &'a [u8]) -> &'a [u8] { buf }").is_empty());
-    }
-
-    #[test]
-    fn hashmap_flagged_only_under_determinism() {
-        let src = "use std::collections::HashMap;";
-        assert_eq!(rules_hit(src), vec!["hashmap"]);
-        let only_panic = RuleSet {
-            panic_and_ordering: true,
-            determinism: false,
-            concurrency: false,
-        };
-        assert!(check(&scan(src), only_panic).is_empty());
-    }
-
-    #[test]
-    fn wallclock_flags_qualified_sleep_and_now() {
-        assert_eq!(
-            rules_hit("fn f(d: Duration) { std::thread::sleep(d); }"),
-            vec!["wallclock"]
-        );
-        assert_eq!(
-            rules_hit("fn f(d: Duration) { thread::sleep(d); }"),
-            vec!["wallclock"]
-        );
-        assert_eq!(
-            rules_hit("fn f() { let t = Instant::now(); }"),
-            vec!["wallclock"]
-        );
-        assert_eq!(
-            rules_hit("fn f() { let t = std::time::Instant::now(); }"),
-            vec!["wallclock"]
-        );
-    }
-
-    #[test]
-    fn wallclock_ignores_method_calls_and_other_clocks() {
-        assert!(rules_hit("fn f(clock: &VirtualClock) { let t = clock.now(); }").is_empty());
-        assert!(rules_hit("fn f() { let t = VirtualClock::now(&c); }").is_empty());
-        assert!(rules_hit("fn f(w: &Worker) { w.sleep(ticks); }").is_empty());
-        // Only determinism-scoped crates see the rule at all.
-        let only_panic = RuleSet {
-            panic_and_ordering: true,
-            determinism: false,
-            concurrency: false,
-        };
-        assert!(check(&scan("fn f() { Instant::now(); }"), only_panic).is_empty());
-    }
-
-    #[test]
-    fn wallclock_flags_systemtime_and_elapsed() {
-        assert_eq!(
-            rules_hit("fn f() { let t = SystemTime::now(); }"),
-            vec!["wallclock"]
-        );
-        assert_eq!(
-            rules_hit("fn f(start: Instant) { let d = start.elapsed(); }"),
-            vec!["wallclock"]
-        );
-        // `elapsed` as a plain name (field, fn def) is not a call.
-        assert!(rules_hit("fn elapsed(x: u64) -> u64 { x }").is_empty());
-        assert!(rules_hit("struct S { elapsed: u64 }").is_empty());
     }
 
     #[test]
@@ -649,8 +344,7 @@ mod tests {
 
     #[test]
     fn test_module_code_is_exempt() {
-        let src =
-            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); }\n}";
+        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { xs[0]; }\n}";
         assert!(rules_hit(src).is_empty());
     }
 }

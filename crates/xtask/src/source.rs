@@ -608,8 +608,7 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
         }
     };
 
-    for idx in 0..line_info.len() {
-        let comment = line_info[idx].1.clone();
+    for (idx, (_, comment)) in line_info.iter().enumerate() {
         let line = idx + 1;
         if let Some(pos) = comment.find(DIRECTIVE) {
             let body = comment[pos + DIRECTIVE.len()..].trim();
@@ -898,12 +897,12 @@ mod tests {
 
     #[test]
     fn allow_directive_parses_with_justification() {
-        let src = "// aimq-lint: allow(panic, indexing) -- index bounded by arity\nlet v = xs[0].unwrap();";
+        let src = "// aimq-lint: allow(indexing, float-ordering) -- index bounded by arity, scores finite\nlet o = xs[0].partial_cmp(&y);";
         let f = scan(src);
         assert!(f.bad_directives.is_empty());
-        assert!(f.is_allowed("panic", 2));
+        assert!(f.is_allowed("float-ordering", 2));
         assert!(f.is_allowed("indexing", 2));
-        assert!(!f.is_allowed("hashmap", 2));
+        assert!(!f.is_allowed("lock-discipline", 2));
     }
 
     #[test]
@@ -915,7 +914,7 @@ mod tests {
 
     #[test]
     fn unjustified_allow_is_rejected() {
-        let src = "// aimq-lint: allow(panic)\nlet v = x.unwrap();";
+        let src = "// aimq-lint: allow(indexing)\nlet v = xs[0];";
         let f = scan(src);
         assert_eq!(f.bad_directives.len(), 1);
         assert!(f.allows.is_empty());
@@ -1011,7 +1010,8 @@ mod tests {
 
     #[test]
     fn wire_optional_directive_parses_and_targets_the_key_line() {
-        let src = "// aimq-wire: optional -- only on relaxed answers\n(\"base_index\", Json::Num(i)),";
+        let src =
+            "// aimq-wire: optional -- only on relaxed answers\n(\"base_index\", Json::Num(i)),";
         let f = scan(src);
         assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
         assert_eq!(f.wire_directives.len(), 1);

@@ -1,12 +1,11 @@
 //! Structure-aware analysis over the flat token stream.
 //!
-//! The L5–L7 rule families need more than token matching: L5 must know
-//! *which* lock guards are live at a call site, L6 must attribute an
-//! atomic operation to the field it mutates, and L7 must see a file's
-//! cross-crate imports. This module recovers just enough structure from
-//! the [`ScannedFile`] token stream — brace-matched function bodies,
-//! guard scopes, receiver chains — without a real parser (the offline
-//! container cannot fetch `syn`).
+//! The L5/L6 rule families need more than token matching: L5 must know
+//! *which* lock guards are live at a call site, and L6 must attribute an
+//! atomic operation to the field it mutates. This module recovers just
+//! enough structure from the [`ScannedFile`] token stream —
+//! brace-matched function bodies, guard scopes, receiver chains —
+//! without a real parser (the offline container cannot fetch `syn`).
 //!
 //! The model is deliberately lexical and conservative:
 //!
@@ -203,18 +202,7 @@ pub struct FnFacts {
     pub has_sync_op: bool,
 }
 
-/// A `use aimq_*` / `aimq_*::` reference outside test code.
-#[derive(Debug, Clone)]
-pub struct Import {
-    /// Library identifier (`aimq`, `aimq_storage`, ...).
-    pub lib: String,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
-}
-
-/// Per-file structural facts consumed by the L5/L6/L7 checkers.
+/// Per-file structural facts consumed by the L5/L6 and effect checkers.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
     /// Owned lock declarations.
@@ -223,8 +211,6 @@ pub struct FileAnalysis {
     pub atomic_fields: Vec<AtomicField>,
     /// Non-test functions, in source order.
     pub functions: Vec<FnFacts>,
-    /// Non-test cross-crate imports.
-    pub imports: Vec<Import>,
 }
 
 /// Analyze one scanned file.
@@ -253,7 +239,6 @@ pub fn analyze(file: &ScannedFile) -> FileAnalysis {
         .map(|f| walk_fn(file, &f, &lock_fields, &atomic_fields))
         .collect();
     FileAnalysis {
-        imports: find_imports(file),
         lock_fields,
         atomic_fields,
         functions,
@@ -653,16 +638,15 @@ fn orderings_in_parens(toks: &[Token], open: usize) -> Vec<String> {
                     break;
                 }
             }
-            "Ordering" => {
+            "Ordering"
                 if toks.get(k + 1).is_some_and(|c| c.text == ":")
                     && toks.get(k + 2).is_some_and(|c| c.text == ":")
                     && toks
                         .get(k + 3)
-                        .is_some_and(|v| ATOMIC_ORDERINGS.contains(&v.text.as_str()))
-                {
-                    out.push(toks[k + 3].text.clone());
-                    k += 3;
-                }
+                        .is_some_and(|v| ATOMIC_ORDERINGS.contains(&v.text.as_str())) =>
+            {
+                out.push(toks[k + 3].text.clone());
+                k += 3;
             }
             _ => {}
         }
@@ -814,36 +798,6 @@ fn resolve_atomic(
         return (Some(field), role);
     }
     (None, None)
-}
-
-/// Collect `aimq*` crate references outside test code: `use aimq_x` or
-/// `aimq_x::...`, one record per (lib, line).
-fn find_imports(file: &ScannedFile) -> Vec<Import> {
-    let toks = &file.tokens;
-    let mut out: Vec<Import> = Vec::new();
-    for (idx, t) in toks.iter().enumerate() {
-        if !t.is_ident
-            || !(t.text == "aimq" || t.text.starts_with("aimq_"))
-            || file.in_test_region(t.offset)
-        {
-            continue;
-        }
-        let qualifies = (toks.get(idx + 1).is_some_and(|c| c.text == ":")
-            && toks.get(idx + 2).is_some_and(|c| c.text == ":"))
-            || (idx > 0 && toks[idx - 1].text == "use");
-        if !qualifies {
-            continue;
-        }
-        if out.iter().any(|im| im.lib == t.text && im.line == t.line) {
-            continue;
-        }
-        out.push(Import {
-            lib: t.text.clone(),
-            line: t.line,
-            col: t.col,
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -998,17 +952,5 @@ impl C {\n\
         assert_eq!(bump.orderings, vec!["Relaxed"]);
         assert!(!a.functions[0].has_sync_op);
         assert!(a.functions[1].has_sync_op);
-    }
-
-    #[test]
-    fn imports_are_collected_outside_tests() {
-        let src = "\
-use aimq_storage::WebDatabase;\n\
-fn f(db: &dyn aimq_storage::WebDatabase) { aimq::answer(db); }\n\
-#[cfg(test)]\n\
-mod tests { use aimq_serve::QueryServer; }\n";
-        let a = analyze(&scan(src));
-        let libs: Vec<&str> = a.imports.iter().map(|i| i.lib.as_str()).collect();
-        assert_eq!(libs, vec!["aimq_storage", "aimq_storage", "aimq"]);
     }
 }

@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::rules::{Finding, Severity};
+use crate::rules::Finding;
 use crate::source::{ByteClass, ScannedFile, Token};
 use crate::structure::find_functions;
 
@@ -38,8 +38,7 @@ use crate::structure::find_functions;
 /// `JsonError` is carried for completeness: it is a struct today, so
 /// no enum definition is found and it imposes no obligation — but the
 /// day it grows variants, the audit starts without a lint change.
-pub const WATCHED_FAULT_ENUMS: &[&str] =
-    &["ServeError", "QueryError", "ProbeError", "JsonError"];
+pub const WATCHED_FAULT_ENUMS: &[&str] = &["ServeError", "QueryError", "ProbeError", "JsonError"];
 
 /// The crate that maps fault enums onto wire responses.
 pub const BOUNDARY_CRATE: &str = "http";
@@ -310,8 +309,8 @@ fn conditional_spans(toks: &[Token], start: usize, end: usize) -> Vec<(usize, us
         }
         let Some(open) = open else { continue };
         let mut brace = 0i32;
-        for m in open..end {
-            match toks[m].text.as_str() {
+        for (m, tok) in toks.iter().enumerate().take(end).skip(open) {
+            match tok.text.as_str() {
                 "{" => brace += 1,
                 "}" => {
                     brace -= 1;
@@ -450,7 +449,6 @@ fn extract_file_shapes(file: &WireFile, report: &mut WireReport) {
                     file.idx,
                     Finding {
                         rule: "wire-drift",
-                        severity: Severity::Error,
                         line,
                         col,
                         message: format!(
@@ -474,7 +472,6 @@ fn extract_file_shapes(file: &WireFile, report: &mut WireReport) {
                         file.idx,
                         Finding {
                             rule: "wire-drift",
-                            severity: Severity::Error,
                             line,
                             col,
                             message: format!(
@@ -531,7 +528,6 @@ fn extract_file_shapes(file: &WireFile, report: &mut WireReport) {
                 file.idx,
                 Finding {
                     rule: "wire-drift",
-                    severity: Severity::Error,
                     line: d.line,
                     col: 1,
                     message: format!(
@@ -561,11 +557,7 @@ fn classify_value(toks: &[Token], call: &ObjCall, key_end: usize) -> &'static st
         .iter()
         .skip_while(|t| t.offset < key_end || t.text == ",")
         .collect();
-    if value.len() >= 4
-        && value[0].text == "Json"
-        && value[1].text == ":"
-        && value[2].text == ":"
-    {
+    if value.len() >= 4 && value[0].text == "Json" && value[1].text == ":" && value[2].text == ":" {
         return match value[3].text.as_str() {
             "Num" => "num",
             "Str" => "str",
@@ -594,7 +586,7 @@ fn enum_definitions(files: &[WireFile]) -> BTreeMap<&'static str, Vec<String>> {
             let toks = &file.scanned.tokens;
             for k in 0..toks.len() {
                 if toks[k].text != "enum"
-                    || !toks.get(k + 1).is_some_and(|t| t.text == name)
+                    || toks.get(k + 1).is_none_or(|t| t.text != name)
                     || file.scanned.in_test_region(toks[k].offset)
                 {
                     continue;
@@ -684,8 +676,9 @@ fn error_sites(files: &[WireFile], report: &mut WireReport) -> Vec<ErrorSite> {
             }
             let code = comma.and_then(|j| {
                 let from = toks[j].offset + 1;
-                let at = (from..toks[close].offset)
-                    .find(|&b| !bytes[b].is_ascii_whitespace() && classes[b] != ByteClass::Comment)?;
+                let at = (from..toks[close].offset).find(|&b| {
+                    !bytes[b].is_ascii_whitespace() && classes[b] != ByteClass::Comment
+                })?;
                 if classes[at] != ByteClass::Literal || bytes[at] != b'"' {
                     return None;
                 }
@@ -700,7 +693,6 @@ fn error_sites(files: &[WireFile], report: &mut WireReport) -> Vec<ErrorSite> {
                     file.idx,
                     Finding {
                         rule: "error-surface",
-                        severity: Severity::Error,
                         line: toks[k].line,
                         col: toks[k].col,
                         message: "`Response::error` machine code is not a string literal — \
@@ -783,7 +775,6 @@ fn check_error_surface(files: &[WireFile], design: Option<&str>, report: &mut Wi
                     idx,
                     Finding {
                         rule: "error-surface",
-                        severity: Severity::Error,
                         line,
                         col,
                         message: format!(
@@ -822,7 +813,6 @@ fn check_error_surface(files: &[WireFile], design: Option<&str>, report: &mut Wi
                 site.idx,
                 Finding {
                     rule: "error-surface",
-                    severity: Severity::Error,
                     line: site.line,
                     col: site.col,
                     message: format!(
@@ -838,7 +828,6 @@ fn check_error_surface(files: &[WireFile], design: Option<&str>, report: &mut Wi
                         site.idx,
                         Finding {
                             rule: "error-surface",
-                            severity: Severity::Error,
                             line: site.line,
                             col: site.col,
                             message: format!(
@@ -1091,10 +1080,17 @@ mod tests {
                     fn g() -> Response { Response::error(429, \"overloaded\", \"later\") }\n";
         let clean = run(&[("http", good)], Some(design));
         assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
-        assert!(clean.design_findings.is_empty(), "{:#?}", clean.design_findings);
+        assert!(
+            clean.design_findings.is_empty(),
+            "{:#?}",
+            clean.design_findings
+        );
 
         let unknown = run(
-            &[("http", "fn f() -> Response { Response::error(400, \"mystery\", \"m\") }\n")],
+            &[(
+                "http",
+                "fn f() -> Response { Response::error(400, \"mystery\", \"m\") }\n",
+            )],
             Some(design),
         );
         assert!(unknown
@@ -1115,7 +1111,8 @@ mod tests {
         assert!(mismatch
             .findings
             .iter()
-            .any(|(_, f)| f.message.contains("documented as status 400") && f.message.contains("sends 500")));
+            .any(|(_, f)| f.message.contains("documented as status 400")
+                && f.message.contains("sends 500")));
     }
 
     #[test]
@@ -1127,6 +1124,8 @@ mod tests {
             .iter()
             .any(|(_, f)| f.message.contains("not a string literal")));
         assert_eq!(report.design_findings.len(), 1);
-        assert!(report.design_findings[0].message.contains("no `| machine code | status |` table"));
+        assert!(report.design_findings[0]
+            .message
+            .contains("no `| machine code | status |` table"));
     }
 }

@@ -8,7 +8,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::{lint_root, LintReport, Severity};
+use xtask::{lint_root, LintReport};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -24,7 +24,6 @@ fn errors(report: &LintReport) -> Vec<(&str, &str)> {
     report
         .diagnostics
         .iter()
-        .filter(|d| d.severity == Severity::Error)
         .map(|d| (d.rule.as_str(), d.message.as_str()))
         .collect()
 }
@@ -48,18 +47,17 @@ fn l11_duplicate_conditional_stale_and_missing_pin_are_detected() {
     assert!(errs
         .iter()
         .any(|(_, msg)| msg.contains("duplicate key `hits`") && msg.contains("`Snapshot`")));
-    assert!(errs.iter().any(
-        |(_, msg)| msg.contains("key `detail`") && msg.contains("under a conditional")
-    ));
+    assert!(errs
+        .iter()
+        .any(|(_, msg)| msg.contains("key `detail`") && msg.contains("under a conditional")));
     assert!(errs
         .iter()
         .any(|(_, msg)| msg.contains("stale `aimq-wire: optional` annotation")));
     // The pin diagnostic lands on the artifact path itself.
-    assert!(report
-        .diagnostics
-        .iter()
-        .any(|d| d.message.contains("results/WIRE_SCHEMA.json is missing")
-            && d.path.to_string_lossy().contains("WIRE_SCHEMA")));
+    assert!(report.diagnostics.iter().any(|d| d
+        .message
+        .contains("results/WIRE_SCHEMA.json is missing")
+        && d.path.to_string_lossy().contains("WIRE_SCHEMA")));
 }
 
 #[test]

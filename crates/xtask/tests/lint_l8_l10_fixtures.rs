@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::{lint_root, LintReport, Severity};
+use xtask::{lint_root, LintReport};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -22,7 +22,6 @@ fn errors(report: &LintReport) -> Vec<(&str, &str)> {
     report
         .diagnostics
         .iter()
-        .filter(|d| d.severity == Severity::Error)
         .map(|d| (d.rule.as_str(), d.message.as_str()))
         .collect()
 }

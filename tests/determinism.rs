@@ -4,11 +4,11 @@
 //! supertuple bags → value-similarity matrices, plus the ROCK baseline)
 //! must be a pure function of `(data, seed)`: two fits over the same
 //! sampled CarDB have to produce byte-identical orderings and top-k
-//! lists. The `cargo xtask lint` determinism rule (`hashmap`) keeps
-//! iteration-order hazards out of `afd`/`sim`/`rock` at the source
-//! level; this test pins the property at the output level so any future
-//! hole (a new hash container behind an allow, an unstable sort) still
-//! fails CI.
+//! lists. clippy's `disallowed_types` ban on `HashMap`/`HashSet`,
+//! denied at the determinism crate roots, keeps iteration-order hazards
+//! out of `afd`/`sim`/`rock` at the source level; this test pins the
+//! property at the output level so any future hole (a new hash
+//! container behind an `#[expect]`, an unstable sort) still fails CI.
 
 use aimq_suite::afd::{
     AttributeOrdering, BucketConfig, EncodedRelation, MinedDependencies, TaneConfig,

@@ -1,0 +1,61 @@
+#!/bin/sh
+# Checks that clippy and Cargo enforce what the retired xtask rules
+# (panic, hashmap, wallclock, layering) used to. Every violation crate
+# in this directory must fail under `cargo clippy -- -D warnings` with
+# exactly the expected number of diagnostics per lint or error code;
+# every twin must pass, test targets included.
+#
+# Usage: tests/fixtures/clippy/check.sh   (from any directory)
+set -u
+here=$(cd "$(dirname "$0")" && pwd)
+target=${CARGO_TARGET_DIR:-$here/target}
+status=0
+
+clippy() { # <crate> [cargo args]
+    crate=$1
+    shift
+    cargo clippy --quiet --offline "$@" \
+        --manifest-path "$here/$crate/Cargo.toml" --target-dir "$target" \
+        -- -D warnings 2>&1
+}
+
+rejects() { # <crate> <code>=<count>...
+    crate=$1
+    shift
+    if out=$(clippy "$crate" --message-format=json); then
+        echo "FAIL $crate: accepted, but it holds violations"
+        status=1
+        return
+    fi
+    for want in "$@"; do
+        code=${want%=*}
+        got=$(printf '%s\n' "$out" | grep -c "\"code\":{\"code\":\"$code\"")
+        if [ "$got" != "${want#*=}" ]; then
+            echo "FAIL $crate: $got \`$code\` diagnostics, expected ${want#*=}"
+            status=1
+            return
+        fi
+    done
+    echo "ok   $crate rejected: $*"
+}
+
+accepts() { # <crate>
+    if out=$(clippy "$1" --all-targets); then
+        echo "ok   $1 accepted"
+    else
+        echo "FAIL $1: rejected:"
+        echo "$out"
+        status=1
+    fi
+}
+
+rejects panic clippy::unwrap_used=1 clippy::expect_used=1 clippy::panic=1 \
+    clippy::unreachable=1 clippy::todo=1 clippy::unimplemented=1
+accepts panic_expect
+rejects hashmap clippy::disallowed_types=5
+accepts hashmap_expect
+rejects wallclock clippy::disallowed_methods=5
+accepts wallclock_expect
+rejects layering E0432=1
+accepts layering_declared
+exit $status

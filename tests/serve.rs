@@ -206,7 +206,6 @@ fn deadline_miss_is_a_typed_error_with_a_partial_report() {
             deadline_ticks: 2,
             ticks_per_probe: 1,
             engine: config(),
-            ..ServeConfig::default()
         },
     );
     match server.submit(h.queries[0].clone()).unwrap().wait() {
@@ -252,7 +251,6 @@ fn generous_deadline_changes_nothing() {
             deadline_ticks: 1_000_000,
             ticks_per_probe: 1,
             engine: config(),
-            ..ServeConfig::default()
         },
     );
     let tickets: Vec<Ticket> = h
