@@ -127,7 +127,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "width must be positive")]
     fn zero_width_panics() {
-        let _ = BucketSpec::width(0.0);
+        BucketSpec::width(0.0);
     }
 
     #[test]

@@ -149,9 +149,17 @@ fn write_num(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        let _ = write!(out, "{}", n as i64); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write to String is infallible"
+        )]
+        let _ = write!(out, "{}", n as i64);
     } else {
-        let _ = write!(out, "{n}"); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write to String is infallible"
+        )]
+        let _ = write!(out, "{n}");
     }
 }
 
@@ -166,7 +174,11 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32); // aimq-lint: allow(result-discipline) -- fmt::Write to String is infallible
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "fmt::Write to String is infallible"
+                )]
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -7,6 +7,12 @@
     clippy::todo,
     clippy::unimplemented
 )]
+#![deny(clippy::disallowed_types)]
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants,
+    reason = "the wildcard lints guard matches over the fault enums, which live downstream and cannot be named here"
+)]
 
 //! # aimq-catalog
 //!
@@ -33,6 +39,7 @@
 //! `aimq` crates. Keeping the model tiny lets every subsystem — including
 //! the ROCK baseline — speak the same types.
 
+mod atomic;
 mod bucket;
 mod error;
 mod json;
@@ -42,6 +49,7 @@ mod score;
 mod tuple;
 mod value;
 
+pub use atomic::{Counter, Flag};
 pub use bucket::BucketSpec;
 pub use error::CatalogError;
 pub use json::{Json, JsonError};

@@ -1,10 +1,17 @@
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::{CatalogError, Result};
+
+/// Attribute lookup by name. Hashing is safe here: the index is only
+/// probed by key, never iterated, so its order cannot reach any output.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only name index; never iterated, so hash order cannot leak"
+)]
+type NameIndex = std::collections::HashMap<String, AttrId>;
 
 /// Index of an attribute within a [`Schema`] (position in the relation).
 ///
@@ -94,7 +101,7 @@ pub struct Schema {
 struct SchemaInner {
     name: String,
     attrs: Vec<Attribute>,
-    by_name: HashMap<String, AttrId>,
+    by_name: NameIndex,
 }
 
 impl PartialEq for Schema {
@@ -227,7 +234,7 @@ impl SchemaBuilder {
 
     /// Finish the schema, validating name uniqueness.
     pub fn build(self) -> Result<Schema> {
-        let mut by_name = HashMap::with_capacity(self.attrs.len());
+        let mut by_name = NameIndex::with_capacity(self.attrs.len());
         for (i, a) in self.attrs.iter().enumerate() {
             if by_name.insert(a.name().to_owned(), AttrId(i)).is_some() {
                 return Err(CatalogError::DuplicateAttribute(a.name().to_owned()));

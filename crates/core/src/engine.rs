@@ -119,7 +119,11 @@ impl EngineConfig {
                 "target_relevant" => {
                     next.target_relevant = match value {
                         Json::Null => None,
-                        v => Some(patch_usize(v, "target_relevant")?),
+                        v @ (Json::Bool(_)
+                        | Json::Num(_)
+                        | Json::Str(_)
+                        | Json::Arr(_)
+                        | Json::Obj(_)) => Some(patch_usize(v, "target_relevant")?),
                     };
                 }
                 "max_steps_per_tuple" => {

@@ -300,6 +300,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate")]
     fn rejects_bad_learning_rate() {
-        let _ = FeedbackTuner::uniform(&schema(), 1.5);
+        FeedbackTuner::uniform(&schema(), 1.5);
     }
 }

@@ -607,7 +607,8 @@ mod tests {
         let db = test_db();
         let system = trained(&db);
         let t = system.timings();
-        let _ = t.dependency_mining + t.similarity_estimation;
+        let total = t.dependency_mining + t.similarity_estimation;
+        assert!(total >= t.dependency_mining && total >= t.similarity_estimation);
     }
 
     #[test]

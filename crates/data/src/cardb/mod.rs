@@ -135,7 +135,7 @@ fn pick_color(segment: Segment, rng: &mut rand::rngs::StdRng) -> &'static str {
         Segment::Sports => &[("Red", 3.0), ("Yellow", 2.0), ("Black", 1.5)],
         Segment::Luxury => &[("Black", 3.0), ("Silver", 2.5)],
         Segment::Truck => &[("White", 2.0), ("Black", 1.5)],
-        _ => &[],
+        Segment::Economy | Segment::Sedan | Segment::Suv | Segment::Van => &[],
     };
     let weights: Vec<f64> = COLORS
         .iter()

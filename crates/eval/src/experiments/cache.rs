@@ -141,7 +141,10 @@ fn fingerprint(result: &AnswerSet) -> String {
     use std::fmt::Write as _;
     let mut out = format!("{:?}", result.degradation);
     for a in &result.answers {
-        // aimq-lint: allow(result-discipline) -- fmt::Write to a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write to a String is infallible"
+        )]
         let _ = write!(out, " | {:?}@{:016x}", a.tuple, a.similarity.to_bits());
     }
     out

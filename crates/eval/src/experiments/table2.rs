@@ -137,7 +137,11 @@ fn time_dataset(
     let t0 = Instant::now();
     for attr in relation.schema().attr_ids() {
         if relation.schema().domain(attr) == Domain::Categorical {
-            let _ = build_supertuples(&enc, attr); // aimq-lint: allow(result-discipline) -- timing loop measures generation cost; the structures are rebuilt for real below
+            #[expect(
+                clippy::let_underscore_untyped,
+                reason = "timing loop measures generation cost; the structures are rebuilt for real below"
+            )]
+            let _ = build_supertuples(&enc, attr);
         }
     }
     let supertuple_generation = t0.elapsed();

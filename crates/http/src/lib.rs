@@ -24,11 +24,11 @@
 //! - [`load`]: the open-loop load generator that drives the saturation
 //!   benchmark (`aimq-bench`'s `http_load`).
 //!
-//! This crate deliberately sits *outside* the workspace's determinism
-//! lint scope (L3/L4): sockets, wall clocks, and sleeps are its whole
-//! job. The panic-freedom lints (denied below) and the xtask
-//! concurrency and effect-discipline rules (L5, L6, L8-L10) apply in
-//! full.
+//! This crate deliberately sits *outside* the workspace's wall-clock
+//! lint scope (L4): sockets, wall clocks, and sleeps are its whole
+//! job. The panic-freedom lints and the type ban (hash containers, raw
+//! atomics) are denied below, and the xtask lock and effect rules (L5,
+//! L8, L10) apply in full.
 
 #![warn(missing_docs)]
 #![deny(
@@ -39,6 +39,7 @@
     clippy::todo,
     clippy::unimplemented
 )]
+#![deny(clippy::disallowed_types)]
 
 mod routes;
 mod server;

@@ -25,47 +25,41 @@
 //! function of the engine's result — the end-to-end tests compare them
 //! byte-for-byte against in-process serialization.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use aimq_catalog::{ImpreciseQuery, Json, Value};
+use aimq_catalog::{Counter, ImpreciseQuery, Json, Value};
 use aimq_serve::{QueryServer, ServeError};
 use aimq_storage::WebDatabase;
 
-use crate::wire::{Request, Response};
+use crate::wire::{ErrorCode, Request, Response};
 
 /// Wire-level counters for the HTTP front door itself (the serving
 /// runtime's counters live in [`aimq_serve::ServeStats`]).
 #[derive(Debug, Default)]
 pub struct HttpStats {
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    connections_accepted: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    requests_served: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    responses_4xx: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    responses_5xx: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    connection_errors: AtomicU64,
+    connections_accepted: Counter,
+    requests_served: Counter,
+    responses_4xx: Counter,
+    responses_5xx: Counter,
+    connection_errors: Counter,
 }
 
 impl HttpStats {
     pub(crate) fn note_connection(&self) {
-        self.connections_accepted.fetch_add(1, Ordering::Relaxed);
+        self.connections_accepted.incr();
     }
 
     pub(crate) fn note_response(&self, status: u16) {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
+        self.requests_served.incr();
         if (400..500).contains(&status) {
-            self.responses_4xx.fetch_add(1, Ordering::Relaxed);
+            self.responses_4xx.incr();
         } else if status >= 500 {
-            self.responses_5xx.fetch_add(1, Ordering::Relaxed);
+            self.responses_5xx.incr();
         }
     }
 
     pub(crate) fn note_connection_error(&self) {
-        self.connection_errors.fetch_add(1, Ordering::Relaxed);
+        self.connection_errors.incr();
     }
 
     /// The counters as a deterministic [`Json`] object, embedded in the
@@ -75,23 +69,17 @@ impl HttpStats {
         Json::obj(vec![
             (
                 "connections_accepted",
-                Json::Num(self.connections_accepted.load(Ordering::Relaxed) as f64),
+                Json::Num(self.connections_accepted.get() as f64),
             ),
             (
                 "requests_served",
-                Json::Num(self.requests_served.load(Ordering::Relaxed) as f64),
+                Json::Num(self.requests_served.get() as f64),
             ),
-            (
-                "responses_4xx",
-                Json::Num(self.responses_4xx.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "responses_5xx",
-                Json::Num(self.responses_5xx.load(Ordering::Relaxed) as f64),
-            ),
+            ("responses_4xx", Json::Num(self.responses_4xx.get() as f64)),
+            ("responses_5xx", Json::Num(self.responses_5xx.get() as f64)),
             (
                 "connection_errors",
-                Json::Num(self.connection_errors.load(Ordering::Relaxed) as f64),
+                Json::Num(self.connection_errors.get() as f64),
             ),
         ])
     }
@@ -125,8 +113,7 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
         (_, ["config"]) => method_not_allowed("GET, PATCH"),
         (_, ["indexes", _, "search"]) => method_not_allowed("POST"),
         _ => Response::error(
-            404,
-            "not_found",
+            ErrorCode::NotFound,
             &format!("no route for {} {}", req.method, req.path),
         ),
     }
@@ -134,8 +121,7 @@ pub fn dispatch(state: &AppState, req: &Request) -> Response {
 
 fn method_not_allowed(allow: &str) -> Response {
     Response::error(
-        405,
-        "method_not_allowed",
+        ErrorCode::MethodNotAllowed,
         &format!("allowed methods: {allow}"),
     )
     .with_header("allow", allow)
@@ -184,15 +170,14 @@ fn config_patch(state: &AppState, req: &Request) -> Response {
             state.server.set_engine_config(next);
             Response::json(200, &next.to_json())
         }
-        Err(message) => Response::error(400, "invalid_config", &message),
+        Err(message) => Response::error(ErrorCode::InvalidConfig, &message),
     }
 }
 
 fn search(state: &AppState, name: &str, req: &Request) -> Response {
     if name != state.index {
         return Response::error(
-            404,
-            "unknown_index",
+            ErrorCode::UnknownIndex,
             &format!(
                 "no index named `{}`; this server serves `{}`",
                 name, state.index
@@ -244,18 +229,19 @@ fn search(state: &AppState, name: &str, req: &Request) -> Response {
 /// Map a typed serving refusal to its wire form.
 fn serve_error(error: &ServeError) -> Response {
     match error {
-        ServeError::Overloaded => {
-            Response::error(429, "overloaded", "admission queue full; query rejected")
-                .with_header("retry-after", "1")
-        }
+        ServeError::Overloaded => Response::error(
+            ErrorCode::Overloaded,
+            "admission queue full; query rejected",
+        )
+        .with_header("retry-after", "1"),
         ServeError::ShuttingDown => {
-            Response::error(503, "shutting_down", "server is shutting down")
+            Response::error(ErrorCode::ShuttingDown, "server is shutting down")
         }
         // `DeadlineExceeded` is handled at the call site (it is a 200
         // with a partial body, not an error response); reaching here
         // would be a routing bug, reported as such rather than hidden.
         ServeError::DeadlineExceeded { .. } => {
-            Response::error(500, "internal", "deadline partial mishandled")
+            Response::error(ErrorCode::Internal, "deadline partial mishandled")
         }
     }
 }
@@ -264,17 +250,16 @@ fn serve_error(error: &ServeError) -> Response {
 fn parse_body(req: &Request) -> Result<Json, Box<Response>> {
     let text = req.body_str().ok_or_else(|| {
         Box::new(Response::error(
-            400,
-            "bad_request",
+            ErrorCode::BadRequest,
             "request body is not valid UTF-8",
         ))
     })?;
-    Json::parse(text).map_err(|e| Box::new(Response::error(400, "bad_request", &e.to_string())))
+    Json::parse(text).map_err(|e| Box::new(Response::error(ErrorCode::BadRequest, &e.to_string())))
 }
 
 /// Build the imprecise query from `{"query": {attr: value, ...}}`.
 fn build_query(state: &AppState, body: &Json) -> Result<ImpreciseQuery, Box<Response>> {
-    let bad = |message: String| Box::new(Response::error(400, "bad_request", &message));
+    let bad = |message: String| Box::new(Response::error(ErrorCode::BadRequest, &message));
     let bindings = body
         .get("query")
         .and_then(Json::as_object)
@@ -285,7 +270,7 @@ fn build_query(state: &AppState, body: &Json) -> Result<ImpreciseQuery, Box<Resp
         let value = match value {
             Json::Str(s) => Value::cat(s.clone()),
             Json::Num(n) => Value::num(*n),
-            other => {
+            other @ (Json::Null | Json::Bool(_) | Json::Arr(_) | Json::Obj(_)) => {
                 return Err(bad(format!(
                     "attribute `{attr}` must bind a string or a number, got {other}"
                 )))
@@ -294,4 +279,43 @@ fn build_query(state: &AppState, body: &Json) -> Result<ImpreciseQuery, Box<Resp
         builder = builder.like(attr, value).map_err(|e| bad(e.to_string()))?;
     }
     builder.build().map_err(|e| bad(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aimq::{AnswerSet, DegradationReport, WorkStats};
+    use aimq_catalog::SelectionQuery;
+
+    #[test]
+    fn every_serve_error_maps_to_its_status_and_code() {
+        let partial = AnswerSet {
+            answers: Vec::new(),
+            stats: WorkStats::default(),
+            base_query: SelectionQuery::all(),
+            base_set_size: 0,
+            degradation: DegradationReport::default(),
+        };
+        let errors = [
+            ServeError::Overloaded,
+            ServeError::DeadlineExceeded {
+                partial: Box::new(partial),
+            },
+            ServeError::ShuttingDown,
+        ];
+        for error in &errors {
+            // Exhaustive: a new `ServeError` variant does not compile
+            // until its wire form is pinned here.
+            let (status, code) = match error {
+                ServeError::Overloaded => (429, "overloaded"),
+                ServeError::DeadlineExceeded { .. } => (500, "internal"),
+                ServeError::ShuttingDown => (503, "shutting_down"),
+            };
+            let response = serve_error(error);
+            assert_eq!(response.status, status, "{error:?}");
+            let body = Json::parse(std::str::from_utf8(&response.body).unwrap()).unwrap();
+            let sent = body.get("error").and_then(|e| e.get("code"));
+            assert_eq!(sent, Some(&Json::Str(code.into())), "{error:?}");
+        }
+    }
 }

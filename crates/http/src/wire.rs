@@ -212,6 +212,58 @@ impl Decoder {
     }
 }
 
+/// The machine code of an error body. Each code fixes its status, so a
+/// response can never pair a code with the wrong status. DESIGN.md's
+/// `| machine code | status |` table documents the set; a unit test
+/// holds the table and this enum in step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ErrorCode {
+    /// Malformed request body or unframeable request.
+    BadRequest,
+    /// `PATCH /config` patch rejected by `EngineConfig` validation.
+    InvalidConfig,
+    /// No route for the method/path pair.
+    NotFound,
+    /// The `:name` in `/indexes/:name/search` is not the served index.
+    UnknownIndex,
+    /// Known path, wrong verb.
+    MethodNotAllowed,
+    /// Admission queue full.
+    Overloaded,
+    /// An outcome the boundary cannot map (never expected).
+    Internal,
+    /// The server is draining.
+    ShuttingDown,
+}
+
+impl ErrorCode {
+    /// The HTTP status this code is sent with.
+    pub(crate) fn status(self) -> u16 {
+        match self {
+            ErrorCode::BadRequest | ErrorCode::InvalidConfig => 400,
+            ErrorCode::NotFound | ErrorCode::UnknownIndex => 404,
+            ErrorCode::MethodNotAllowed => 405,
+            ErrorCode::Overloaded => 429,
+            ErrorCode::Internal => 500,
+            ErrorCode::ShuttingDown => 503,
+        }
+    }
+
+    /// The code as it appears in the body's `"code"` field.
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            ErrorCode::BadRequest => "bad_request",
+            ErrorCode::InvalidConfig => "invalid_config",
+            ErrorCode::NotFound => "not_found",
+            ErrorCode::UnknownIndex => "unknown_index",
+            ErrorCode::MethodNotAllowed => "method_not_allowed",
+            ErrorCode::Overloaded => "overloaded",
+            ErrorCode::Internal => "internal",
+            ErrorCode::ShuttingDown => "shutting_down",
+        }
+    }
+}
+
 /// One HTTP response, built by the routing layer and serialized by the
 /// connection loop.
 #[derive(Debug, Clone)]
@@ -237,14 +289,15 @@ impl Response {
     }
 
     /// The canonical typed error body:
-    /// `{"error":{"code":..., "message":...}}`.
-    pub fn error(status: u16, code: &str, message: &str) -> Response {
+    /// `{"error":{"code":..., "message":...}}`, sent with `code`'s
+    /// status.
+    pub(crate) fn error(code: ErrorCode, message: &str) -> Response {
         Response::json(
-            status,
+            code.status(),
             &Json::obj(vec![(
                 "error",
                 Json::obj(vec![
-                    ("code", Json::Str(code.to_string())),
+                    ("code", Json::Str(code.as_str().to_string())),
                     ("message", Json::Str(message.to_string())),
                 ]),
             )]),
@@ -300,6 +353,67 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every [`ErrorCode`], listed through an exhaustive successor
+    /// match: a new variant does not compile until it is chained in.
+    fn every_error_code() -> Vec<ErrorCode> {
+        let mut codes = Vec::new();
+        let mut next = Some(ErrorCode::BadRequest);
+        while let Some(code) = next {
+            codes.push(code);
+            next = match code {
+                ErrorCode::BadRequest => Some(ErrorCode::InvalidConfig),
+                ErrorCode::InvalidConfig => Some(ErrorCode::NotFound),
+                ErrorCode::NotFound => Some(ErrorCode::UnknownIndex),
+                ErrorCode::UnknownIndex => Some(ErrorCode::MethodNotAllowed),
+                ErrorCode::MethodNotAllowed => Some(ErrorCode::Overloaded),
+                ErrorCode::Overloaded => Some(ErrorCode::Internal),
+                ErrorCode::Internal => Some(ErrorCode::ShuttingDown),
+                ErrorCode::ShuttingDown => None,
+            };
+        }
+        codes
+    }
+
+    /// The `(code, status)` rows of DESIGN.md's machine-code table.
+    fn design_table(design: &str) -> Vec<(String, u16)> {
+        design
+            .lines()
+            .skip_while(|line| !line.starts_with("| machine code | status |"))
+            .skip(2) // header and separator
+            .take_while(|line| line.starts_with('|'))
+            .map(|row| {
+                let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+                let code = cells[1].trim_matches('`').to_string();
+                let status = cells[2]
+                    .parse()
+                    .unwrap_or_else(|_| panic!("status is not a number in row {row}"));
+                (code, status)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn design_table_lists_exactly_the_error_codes() {
+        let table = design_table(include_str!("../../../DESIGN.md"));
+        let codes: Vec<(String, u16)> = every_error_code()
+            .into_iter()
+            .map(|code| (code.as_str().to_string(), code.status()))
+            .collect();
+        for row in &table {
+            assert!(
+                codes.contains(row),
+                "DESIGN.md row {row:?} matches no ErrorCode with that status"
+            );
+        }
+        for code in &codes {
+            assert!(
+                table.contains(code),
+                "ErrorCode {code:?} is missing from the DESIGN.md table"
+            );
+        }
+        assert_eq!(table.len(), codes.len(), "duplicate DESIGN.md rows");
+    }
 
     fn decode_all(bytes: &[u8]) -> Result<Vec<Request>, FrameError> {
         let mut dec = Decoder::new();
@@ -394,7 +508,7 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
 
-        let resp = Response::error(429, "overloaded", "busy").with_header("retry-after", "1");
+        let resp = Response::error(ErrorCode::Overloaded, "busy").with_header("retry-after", "1");
         let mut out = Vec::new();
         resp.write_to(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();

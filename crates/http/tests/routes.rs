@@ -219,7 +219,8 @@ impl<D: WebDatabase> WebDatabase for GatedDb<D> {
     }
 
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-        let _ = self.gate.lock().expect("gate lock").recv();
+        let opened = self.gate.lock().expect("gate lock").recv();
+        assert!(opened.is_err(), "the gate opens only when its sender drops");
         self.inner.try_query(query)
     }
 

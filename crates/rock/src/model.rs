@@ -342,7 +342,8 @@ mod tests {
         let m = fitted();
         // Durations exist (may be ~0 on tiny data but must not panic).
         let t = m.timings();
-        let _ = t.link_computation + t.initial_clustering + t.data_labeling;
+        let total = t.link_computation + t.initial_clustering + t.data_labeling;
+        assert!(total >= t.link_computation);
     }
 
     #[test]

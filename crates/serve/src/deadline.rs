@@ -17,9 +17,8 @@
 //! query with the same budget misses (or not) identically at 1 worker
 //! and at 64.
 
-use aimq_catalog::{Schema, SelectionQuery};
+use aimq_catalog::{Flag, Schema, SelectionQuery};
 use aimq_storage::{AccessStats, QueryError, QueryPage, VirtualClock, WebDatabase};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Decorator enforcing a probe-tick budget on one query's probes.
 pub struct DeadlineWebDb<'a> {
@@ -29,9 +28,8 @@ pub struct DeadlineWebDb<'a> {
     deadline_ticks: u64,
     /// Cost charged per probe, cache hit or not.
     ticks_per_probe: u64,
-    // aimq-atomic: flag -- set once on first refusal; Release store pairs
-    // with the Acquire load in `deadline_missed`
-    missed: AtomicBool,
+    /// Raised on the first refusal.
+    missed: Flag,
 }
 
 impl<'a> DeadlineWebDb<'a> {
@@ -44,7 +42,7 @@ impl<'a> DeadlineWebDb<'a> {
             clock: VirtualClock::new(),
             deadline_ticks,
             ticks_per_probe: ticks_per_probe.max(1),
-            missed: AtomicBool::new(false),
+            missed: Flag::new(),
         }
     }
 
@@ -55,7 +53,7 @@ impl<'a> DeadlineWebDb<'a> {
 
     /// `true` once any probe was refused for exceeding the deadline.
     pub fn deadline_missed(&self) -> bool {
-        self.missed.load(Ordering::Acquire)
+        self.missed.is_set()
     }
 }
 
@@ -70,7 +68,7 @@ impl WebDatabase for DeadlineWebDb<'_> {
             // Terminal by design: the engine treats `Unavailable` as
             // "stop probing, degrade gracefully", which is exactly the
             // deadline semantics — salvage what is already ranked.
-            self.missed.store(true, Ordering::Release);
+            self.missed.set();
             return Err(QueryError::Unavailable);
         }
         self.clock.advance(self.ticks_per_probe);

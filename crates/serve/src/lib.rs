@@ -39,6 +39,7 @@
 //! whole runtime replays byte-identically, which is what makes its
 //! concurrency tests assertable.
 
+mod backlog;
 mod deadline;
 mod queue;
 mod server;
@@ -54,6 +55,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Why a query was not fully served.
 #[derive(Debug)]
+#[must_use]
 pub enum ServeError {
     /// The admission queue (plus in-service slots) is at capacity;
     /// resubmit after backing off.

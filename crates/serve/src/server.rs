@@ -16,7 +16,6 @@
 //! concurrency levels — byte-identity checks must compare ranked
 //! answers, base query, and degradation probe counts, not meter deltas.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -24,6 +23,7 @@ use aimq::{AimqSystem, AnswerSet, EngineConfig};
 use aimq_catalog::ImpreciseQuery;
 use aimq_storage::WebDatabase;
 
+use crate::backlog::{Backlog, BacklogSlot};
 use crate::queue::{AdmissionQueue, PushError};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
 use crate::{lock, DeadlineWebDb, ServeError};
@@ -71,6 +71,12 @@ pub struct ServeOutcome {
 pub type ServeResult = Result<ServeOutcome, ServeError>;
 
 struct Request {
+    /// This request's backlog reservation, released when the request is
+    /// dropped: after its reply is sent, when the queue refuses it, or
+    /// while a panicking worker unwinds. Declared first so it is
+    /// released before `reply` closes, so a waiter woken by a dropped
+    /// reply never sees its own slot still held.
+    _slot: BacklogSlot,
     query: ImpreciseQuery,
     reply: mpsc::Sender<ServeResult>,
 }
@@ -94,10 +100,8 @@ impl Ticket {
 pub struct QueryServer {
     queue: Arc<AdmissionQueue<Request>>,
     stats: Arc<ServeStats>,
-    in_flight_limit: usize,
-    // aimq-atomic: counter -- backlog occupancy; over-admission is corrected
-    // by the fetch_add/fetch_sub pairing, so no ordering is needed
-    in_queue_or_flight: Arc<AtomicU64>,
+    /// Admitted queries that are queued or on a worker.
+    backlog: Arc<Backlog>,
     // aimq-lock: family(engine-config) -- leaf lock; holders copy the
     // Copy config in or out and never block while holding the guard
     engine_config: Arc<Mutex<EngineConfig>>,
@@ -117,7 +121,10 @@ impl QueryServer {
         let workers = config.workers.max(1);
         let queue = Arc::new(AdmissionQueue::new(config.queue_capacity.max(1)));
         let stats = Arc::new(ServeStats::new(workers));
-        let in_queue_or_flight = Arc::new(AtomicU64::new(0));
+        // Backpressure bound: admitted work is either queued or on a
+        // worker; beyond queue + workers there is nowhere for it to go
+        // but a growing backlog, so it is rejected instead.
+        let backlog = Backlog::new(config.queue_capacity.max(1) + workers);
         let engine_config = Arc::new(Mutex::new(config.engine));
         let handles = (0..workers)
             .map(|worker_id| {
@@ -125,7 +132,6 @@ impl QueryServer {
                 let db = Arc::clone(&db);
                 let queue = Arc::clone(&queue);
                 let stats = Arc::clone(&stats);
-                let in_flight = Arc::clone(&in_queue_or_flight);
                 let engine_config = Arc::clone(&engine_config);
                 let config = config.clone();
                 std::thread::spawn(move || {
@@ -136,8 +142,6 @@ impl QueryServer {
                         // guard before the (blocking) engine call.
                         let engine = { *lock(&engine_config) };
                         serve_one(&system, &*db, &config, &engine, &stats, worker_id, request);
-                        // aimq-atomic: counter -- releases this request's backlog slot
-                        in_flight.fetch_sub(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -145,11 +149,7 @@ impl QueryServer {
         QueryServer {
             queue,
             stats,
-            // Backpressure bound: admitted work is either queued or on a
-            // worker; beyond queue + workers there is nowhere for it to
-            // go but a growing backlog, so it is rejected instead.
-            in_flight_limit: config.queue_capacity.max(1) + workers,
-            in_queue_or_flight,
+            backlog,
             engine_config,
             workers: handles,
         }
@@ -164,25 +164,28 @@ impl QueryServer {
         // Reserve a backlog slot first; the queue's own capacity check
         // alone would let `workers` extra requests slip in while their
         // predecessors occupy the workers.
-        let occupied = self.in_queue_or_flight.fetch_add(1, Ordering::Relaxed);
-        if occupied >= self.in_flight_limit as u64 {
-            self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
+        let Some(slot) = self.backlog.try_reserve() else {
             self.stats.note_rejected();
             return Err(ServeError::Overloaded);
-        }
+        };
         let (tx, rx) = mpsc::channel();
-        match self.queue.try_push(Request { query, reply: tx }) {
+        let request = Request {
+            _slot: slot,
+            query,
+            reply: tx,
+        };
+        // A refused request comes back in the error and is dropped
+        // with it, which releases its slot.
+        match self.queue.try_push(request) {
             Ok(depth) => {
                 self.stats.note_admitted(depth);
                 Ok(Ticket { rx })
             }
             Err(PushError::Overloaded(_)) => {
-                self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
                 self.stats.note_rejected();
                 Err(ServeError::Overloaded)
             }
             Err(PushError::Closed(_)) => {
-                self.in_queue_or_flight.fetch_sub(1, Ordering::Relaxed);
                 self.stats.note_rejected();
                 Err(ServeError::ShuttingDown)
             }
@@ -228,7 +231,12 @@ impl QueryServer {
             // A worker that panicked already delivered `ShuttingDown`
             // to its waiters via the dropped channel; joining the rest
             // matters more than propagating the panic payload.
-            let _ = handle.join(); // aimq-lint: allow(result-discipline) -- join Err is a worker panic already surfaced to waiters
+            #[expect(
+                clippy::let_underscore_must_use,
+                clippy::let_underscore_untyped,
+                reason = "join Err is a worker panic already surfaced to waiters"
+            )]
+            let _ = handle.join();
         }
         self.stats.snapshot()
     }
@@ -238,7 +246,12 @@ impl Drop for QueryServer {
     fn drop(&mut self) {
         self.queue.close();
         for handle in self.workers.drain(..) {
-            let _ = handle.join(); // aimq-lint: allow(result-discipline) -- Drop must not panic; a worker panic is not recoverable here
+            #[expect(
+                clippy::let_underscore_must_use,
+                clippy::let_underscore_untyped,
+                reason = "Drop must not panic; a worker panic is not recoverable here"
+            )]
+            let _ = handle.join();
         }
     }
 }
@@ -510,7 +523,8 @@ mod tests {
         fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
             // Blocks until the test drops the sender; every later probe
             // sees the disconnect error immediately and sails through.
-            let _ = self.gate.lock().expect("gate lock").recv();
+            let opened = self.gate.lock().expect("gate lock").recv();
+            assert!(opened.is_err(), "the gate opens only when its sender drops");
             self.inner.try_query(query)
         }
 
@@ -554,5 +568,83 @@ mod tests {
             final_stats.replies_dropped, 1,
             "the abandoned reply must be counted: {final_stats:#?}"
         );
+    }
+
+    #[test]
+    fn refused_and_dropped_requests_release_their_backlog_slots() {
+        let schema = Schema::builder("R").categorical("Make").build().unwrap();
+        let query = ImpreciseQuery::builder(&schema)
+            .like("Make", Value::cat("Honda"))
+            .unwrap()
+            .build()
+            .unwrap();
+        let backlog = Backlog::new(4);
+        let request = || Request {
+            _slot: backlog.try_reserve().expect("backlog has room"),
+            query: query.clone(),
+            reply: mpsc::channel().0,
+        };
+        let queue = AdmissionQueue::new(1);
+        assert!(matches!(queue.try_push(request()), Ok(1)));
+        assert!(matches!(
+            queue.try_push(request()),
+            Err(PushError::Overloaded(_))
+        ));
+        assert_eq!(
+            backlog.occupied(),
+            1,
+            "the refused request released its slot"
+        );
+        drop(queue.pop());
+        assert_eq!(
+            backlog.occupied(),
+            0,
+            "the dropped request released its slot"
+        );
+    }
+
+    /// A database whose every probe panics, standing in for a crashing
+    /// source driver.
+    struct PanickingDb(InMemoryWebDb);
+
+    impl WebDatabase for PanickingDb {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+
+        fn try_query(&self, _query: &SelectionQuery) -> Result<QueryPage, QueryError> {
+            panic!("source driver crashed");
+        }
+
+        fn stats(&self) -> AccessStats {
+            self.0.stats()
+        }
+
+        fn reset_stats(&self) {
+            self.0.reset_stats()
+        }
+    }
+
+    #[test]
+    fn a_panicking_worker_releases_its_backlog_slot() {
+        let (system, _, queries) = system_and_db();
+        let db: Arc<dyn WebDatabase> =
+            Arc::new(PanickingDb(InMemoryWebDb::new(CarDb::generate(600, 7))));
+        let server = QueryServer::start(
+            system,
+            db,
+            ServeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let q = queries.first().expect("queries").clone();
+        let outcome = server.submit(q).expect("admitted").wait();
+        assert!(
+            matches!(outcome, Err(ServeError::ShuttingDown)),
+            "the unwinding worker drops the reply: {outcome:?}"
+        );
+        assert_eq!(server.backlog.occupied(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! Serving-side observability: admission counters, queue depth, a
 //! latency histogram in virtual ticks, and per-worker utilization.
 //!
-//! Everything is a relaxed atomic — the counters are monotone and
-//! independently meaningful, so cross-field snapshot consistency (which
+//! Every field is an [`aimq_catalog::Counter`] (relaxed atomics) — the
+//! counters are monotone and independently meaningful, so cross-field snapshot consistency (which
 //! the storage meter's seqlock provides for `Work` accounting) is not
 //! needed here; a snapshot that is off by one in-flight query is still
 //! a correct observation of a concurrent system.
@@ -13,9 +13,7 @@
 //! which keeps serving tests assertable and the crate inside the
 //! workspace's L4 wall-clock lint scope.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use aimq_catalog::Json;
+use aimq_catalog::{Counter, Json};
 use serde::{Deserialize, Serialize};
 
 /// Number of power-of-two latency buckets: bucket `i` counts queries
@@ -27,26 +25,16 @@ pub const LATENCY_BUCKETS: usize = 16;
 /// updated by the submitting thread and every worker.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    submitted: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    admitted: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    rejected: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    completed: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    deadline_missed: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    replies_dropped: AtomicU64,
-    // aimq-atomic: counter -- monotone high-water mark via fetch_max
-    max_queue_depth: AtomicU64,
-    // aimq-atomic: counter -- monotone tally; readers tolerate torn snapshots
-    latency_ticks_total: AtomicU64,
-    // aimq-atomic: counter -- per-bucket tallies; no cross-slot consistency
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
-    // aimq-atomic: counter -- per-worker tallies; no cross-slot consistency
-    worker_processed: Vec<AtomicU64>,
+    submitted: Counter,
+    admitted: Counter,
+    rejected: Counter,
+    completed: Counter,
+    deadline_missed: Counter,
+    replies_dropped: Counter,
+    max_queue_depth: Counter,
+    latency_ticks_total: Counter,
+    latency_hist: [Counter; LATENCY_BUCKETS],
+    worker_processed: Vec<Counter>,
 }
 
 /// Plain-value copy of [`ServeStats`] for reporting.
@@ -83,70 +71,58 @@ impl ServeStats {
     /// Counters for a pool of `workers` threads.
     pub fn new(workers: usize) -> Self {
         ServeStats {
-            worker_processed: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            worker_processed: (0..workers.max(1)).map(|_| Counter::default()).collect(),
             ..ServeStats::default()
         }
     }
 
     pub(crate) fn note_submitted(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.submitted.incr();
     }
 
     pub(crate) fn note_admitted(&self, depth_after: usize) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.max_queue_depth
-            .fetch_max(depth_after as u64, Ordering::Relaxed);
+        self.admitted.incr();
+        self.max_queue_depth.raise_to(depth_after as u64);
     }
 
     pub(crate) fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.rejected.incr();
     }
 
     pub(crate) fn note_reply_dropped(&self) {
-        self.replies_dropped.fetch_add(1, Ordering::Relaxed);
+        self.replies_dropped.incr();
     }
 
     pub(crate) fn note_served(&self, worker: usize, latency_ticks: u64, missed: bool) {
         if missed {
-            self.deadline_missed.fetch_add(1, Ordering::Relaxed);
+            self.deadline_missed.incr();
         } else {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+            self.completed.incr();
         }
-        self.latency_ticks_total
-            .fetch_add(latency_ticks, Ordering::Relaxed);
+        self.latency_ticks_total.add(latency_ticks);
         let bucket = bucket_for(latency_ticks);
         if let Some(slot) = self.latency_hist.get(bucket) {
-            // aimq-atomic: counter -- histogram bucket tally
-            slot.fetch_add(1, Ordering::Relaxed);
+            slot.incr();
         }
         if let Some(slot) = self.worker_processed.get(worker) {
-            // aimq-atomic: counter -- per-worker tally
-            slot.fetch_add(1, Ordering::Relaxed);
+            slot.incr();
         }
     }
 
-    /// Copy every counter. Relaxed loads: see the module docs for why
-    /// cross-field consistency is deliberately not promised.
+    /// Copy every counter. Each read is independent: see the module docs
+    /// for why cross-field consistency is deliberately not promised.
     pub fn snapshot(&self) -> ServeStatsSnapshot {
         ServeStatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-            replies_dropped: self.replies_dropped.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            latency_ticks_total: self.latency_ticks_total.load(Ordering::Relaxed),
-            latency_hist: self
-                .latency_hist
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            worker_processed: self
-                .worker_processed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            submitted: self.submitted.get(),
+            admitted: self.admitted.get(),
+            rejected: self.rejected.get(),
+            completed: self.completed.get(),
+            deadline_missed: self.deadline_missed.get(),
+            replies_dropped: self.replies_dropped.get(),
+            max_queue_depth: self.max_queue_depth.get(),
+            latency_ticks_total: self.latency_ticks_total.get(),
+            latency_hist: self.latency_hist.iter().map(Counter::get).collect(),
+            worker_processed: self.worker_processed.iter().map(Counter::get).collect(),
         }
     }
 }

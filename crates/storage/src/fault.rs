@@ -533,7 +533,7 @@ mod tests {
     #[test]
     fn reset_clears_overlay_but_not_schedule() {
         let db = FaultInjectingWebDb::new(base_db(), FaultProfile::flaky(), 3);
-        let _ = outcomes(&db, 100);
+        assert_eq!(outcomes(&db, 100).len(), 100);
         db.reset_stats();
         let s = db.stats();
         assert_eq!(s, AccessStats::default());

@@ -62,6 +62,7 @@ mod postings;
 mod relation;
 mod resilient;
 mod sampler;
+mod stats_cell;
 mod web;
 
 pub use cache::{CachedWebDb, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_STRIPES};
@@ -78,4 +79,5 @@ pub use postings::{execute_query, intersect_gallop, union_kway, ExecStats, PlanE
 pub use relation::{Relation, RelationBuilder, RowId};
 pub use resilient::{ResilienceReport, ResilientWebDb, RetryPolicy, VirtualClock};
 pub use sampler::{probe_by_spanning_queries, random_sample, ProbeError};
-pub use web::{AccessStats, InMemoryWebDb, QueryError, QueryPage, StatsCell, WebDatabase};
+pub use stats_cell::StatsCell;
+pub use web::{AccessStats, InMemoryWebDb, QueryError, QueryPage, WebDatabase};

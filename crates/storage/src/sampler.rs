@@ -14,6 +14,7 @@ use crate::{QueryError, Relation, WebDatabase};
 /// through transient faults wrap the source in
 /// [`crate::ResilientWebDb`] before sampling.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[must_use]
 pub enum ProbeError {
     /// The spanning attribute does not exist in the source schema.
     Catalog(CatalogError),
@@ -170,7 +171,8 @@ mod tests {
     #[test]
     fn spanning_probe_goes_through_metered_interface() {
         let db = make_db();
-        let _ = probe_by_spanning_queries(&db, AttrId(0), &makes(), 100, 1).unwrap();
+        let sample = probe_by_spanning_queries(&db, AttrId(0), &makes(), 100, 1).unwrap();
+        assert_eq!(sample.len(), 12);
         use crate::WebDatabase as _;
         let stats = db.stats();
         assert_eq!(stats.queries_issued, 3); // one probe per make
@@ -264,7 +266,7 @@ mod tests {
                     "breaker-open pass must surface the terminal failure: {error:?}"
                 );
             }
-            other => panic!("unexpected error kind: {other:?}"),
+            other @ ProbeError::Catalog(_) => panic!("unexpected error kind: {other:?}"),
         }
         assert!(resilient.report().breaker_trips >= 1);
     }

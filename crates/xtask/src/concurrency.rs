@@ -1,12 +1,11 @@
-//! L5 `lock-discipline` and L6 `atomics-audit` checks over the
-//! structural facts produced by [`crate::structure::analyze`].
+//! L5 `lock-discipline` checks over the structural facts produced by
+//! [`crate::structure::analyze`]. (Atomics need no rule: `clippy.toml`
+//! bans the raw types outside three audited modules, and the
+//! `aimq_catalog::Counter`/`Flag` newtypes fix their orderings.)
 //!
-//! Per-file pass ([`check_file`]): unannotated lock/atomic fields,
-//! unresolvable acquisitions and atomic ops, same-family re-acquisition,
-//! guards held across blocking calls, `Relaxed` misuse per atomic role,
-//! and Acquire/Release pairing (per-field for `flag` roles, grouped for
-//! `seqlock` protocols where a version word carries the fences for its
-//! payload slots).
+//! Per-file pass ([`check_file`]): unannotated lock fields,
+//! unresolvable acquisitions, same-family re-acquisition, and guards
+//! held across blocking calls.
 //!
 //! Workspace pass ([`check_workspace`]): a may-acquire fixpoint over
 //! the shared [`crate::callgraph`] module computes which lock families
@@ -20,8 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, CALLEE_BLOCKLIST};
 use crate::rules::Finding;
-use crate::source::AtomicRole;
-use crate::structure::{AtomicOp, FileAnalysis};
+use crate::structure::FileAnalysis;
 
 const LOCK_HELP: &str = "declare a family with `// aimq-lock: family(<name>) -- <why>` on the \
                          field, mark indirect acquisitions with `// aimq-lock: use(<name>)`, or \
@@ -35,33 +33,7 @@ const BLOCKING_HELP: &str = "drop (or scope) the guard before the blocking call 
                              need out of the critical section — or justify with \
                              `// aimq-lint: allow(lock-discipline) -- <why the wait is bounded>`";
 
-const ROLE_HELP: &str = "annotate the field with `// aimq-atomic: counter|flag|seqlock -- <why>` \
-                         (counter: statistics tolerant of reorder; flag: publishes a decision; \
-                         seqlock: version-word protocol)";
-
-const RELAXED_HELP: &str = "flags publish decisions across threads: use `Ordering::Release` on \
-                            the store and `Ordering::Acquire` on the load, or re-role the field \
-                            as `counter` if no other memory depends on it";
-
-/// Does one of the op's orderings synchronize on the acquire side?
-fn acquire_side(op: &AtomicOp) -> bool {
-    op.orderings
-        .iter()
-        .any(|o| matches!(o.as_str(), "Acquire" | "AcqRel" | "SeqCst"))
-}
-
-/// Does one of the op's orderings synchronize on the release side?
-fn release_side(op: &AtomicOp) -> bool {
-    op.orderings
-        .iter()
-        .any(|o| matches!(o.as_str(), "Release" | "AcqRel" | "SeqCst"))
-}
-
-fn all_relaxed(op: &AtomicOp) -> bool {
-    op.orderings.iter().all(|o| o == "Relaxed")
-}
-
-/// Per-file L5 + L6 findings.
+/// Per-file L5 findings.
 pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -119,150 +91,6 @@ pub fn check_file(analysis: &FileAnalysis) -> Vec<Finding> {
                 ),
                 help: BLOCKING_HELP,
             });
-        }
-    }
-
-    // L6: every atomic field needs a role; orderings must fit the role.
-    for field in &analysis.atomic_fields {
-        if field.role.is_none() {
-            findings.push(Finding {
-                rule: "atomics-audit",
-                line: field.line,
-                col: field.col,
-                message: format!("atomic field `{}` has no role annotation", field.name),
-                help: ROLE_HELP,
-            });
-        }
-    }
-    for f in &analysis.functions {
-        for op in &f.atomic_ops {
-            match op.role {
-                None => findings.push(Finding {
-                    rule: "atomics-audit",
-                    line: op.line,
-                    col: op.col,
-                    message: format!(
-                        "cannot attribute `.{}()` to a role-annotated atomic field",
-                        op.method
-                    ),
-                    help: ROLE_HELP,
-                }),
-                Some(AtomicRole::Counter) => {}
-                Some(AtomicRole::Flag) if all_relaxed(op) => findings.push(Finding {
-                    rule: "atomics-audit",
-                    line: op.line,
-                    col: op.col,
-                    message: format!(
-                        "`Ordering::Relaxed` on flag-role atomic{}: the flag synchronizes \
-                         nothing",
-                        op.field
-                            .as_deref()
-                            .map(|n| format!(" `{n}`"))
-                            .unwrap_or_default()
-                    ),
-                    help: RELAXED_HELP,
-                }),
-                Some(AtomicRole::Seqlock) if all_relaxed(op) && !f.has_sync_op => {
-                    findings.push(Finding {
-                        rule: "atomics-audit",
-                        line: op.line,
-                        col: op.col,
-                        message: format!(
-                            "seqlock-role `Relaxed` op in `{}`, which performs no \
-                             Acquire/Release op or fence to order it",
-                            f.name
-                        ),
-                        help: "seqlock payload ops may be Relaxed only when the enclosing \
-                               function orders them with a version-word Acquire/Release op or \
-                               an explicit fence",
-                    });
-                }
-                Some(AtomicRole::Flag) | Some(AtomicRole::Seqlock) => {}
-            }
-        }
-    }
-
-    // L6 pairing. Flags pair per field: a Release store no thread
-    // Acquire-loads (or vice versa) synchronizes nothing.
-    let ops_of = |name: &str| -> Vec<&AtomicOp> {
-        analysis
-            .functions
-            .iter()
-            .flat_map(|f| f.atomic_ops.iter())
-            .filter(|op| op.field.as_deref() == Some(name))
-            .collect()
-    };
-    for field in &analysis.atomic_fields {
-        if field.role != Some(AtomicRole::Flag) {
-            continue;
-        }
-        let ops = ops_of(&field.name);
-        if ops.is_empty() {
-            continue;
-        }
-        let has_acq = ops.iter().any(|op| acquire_side(op));
-        let has_rel = ops.iter().any(|op| release_side(op));
-        if !(has_acq && has_rel) {
-            findings.push(Finding {
-                rule: "atomics-audit",
-                line: field.line,
-                col: field.col,
-                message: format!(
-                    "flag-role atomic `{}` has {} in this file — Acquire/Release must pair to \
-                     publish anything",
-                    field.name,
-                    if has_rel {
-                        "Release stores but no Acquire-side load"
-                    } else {
-                        "Acquire loads but no Release-side store"
-                    }
-                ),
-                help: RELAXED_HELP,
-            });
-        }
-    }
-    // Seqlocks pair as a group: the version word supplies the fences
-    // for the payload slots, so the file's seqlock ops jointly need
-    // both sides.
-    let seq_fields: Vec<&str> = analysis
-        .atomic_fields
-        .iter()
-        .filter(|f| f.role == Some(AtomicRole::Seqlock))
-        .map(|f| f.name.as_str())
-        .collect();
-    if !seq_fields.is_empty() {
-        let seq_ops: Vec<&AtomicOp> = analysis
-            .functions
-            .iter()
-            .flat_map(|f| f.atomic_ops.iter())
-            .filter(|op| op.role == Some(AtomicRole::Seqlock))
-            .collect();
-        if !seq_ops.is_empty() {
-            let has_acq = seq_ops.iter().any(|op| acquire_side(op));
-            let has_rel = seq_ops.iter().any(|op| release_side(op));
-            if !(has_acq && has_rel) {
-                let first = analysis
-                    .atomic_fields
-                    .iter()
-                    .find(|f| f.role == Some(AtomicRole::Seqlock))
-                    .expect("non-empty seq_fields implies a seqlock field");
-                findings.push(Finding {
-                    rule: "atomics-audit",
-                    line: first.line,
-                    col: first.col,
-                    message: format!(
-                        "seqlock group ({}) lacks {} — writers must Release the version bump \
-                         and readers must Acquire it",
-                        seq_fields.join(", "),
-                        if has_rel {
-                            "an Acquire-side read"
-                        } else {
-                            "a Release-side write"
-                        }
-                    ),
-                    help: "see `storage::web::StatsCell` for the canonical version-word protocol",
-                });
-            }
         }
     }
 
@@ -424,89 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn unannotated_lock_and_atomic_fields_are_flagged() {
-        let msgs = rules_hit("struct S { state: Mutex<u32>, hits: AtomicU64 }");
-        assert_eq!(msgs.len(), 2, "{msgs:#?}");
-        assert!(msgs[0].contains("`state` has no lock-family"));
-        assert!(msgs[1].contains("`hits` has no role"));
-    }
-
-    #[test]
-    fn relaxed_flag_op_is_flagged_and_counter_is_not() {
-        let src = "\
-struct S {\n\
-    // aimq-atomic: flag -- publishes shutdown\n\
-    done: AtomicBool,\n\
-    // aimq-atomic: counter -- statistics\n\
-    hits: AtomicU64,\n\
-}\n\
-impl S {\n\
-    fn f(&self) {\n\
-        self.done.store(true, Ordering::Relaxed);\n\
-        self.hits.fetch_add(1, Ordering::Relaxed);\n\
-    }\n\
-    fn g(&self) -> bool { self.done.load(Ordering::Acquire) }\n\
-}\n";
-        let msgs = rules_hit(src);
-        // The Relaxed store trips the role rule AND breaks pairing
-        // (Acquire load with no Release store).
-        assert_eq!(msgs.len(), 2, "{msgs:#?}");
-        assert!(msgs[0].contains("flag-role atomic `done`"), "{msgs:#?}");
-        assert!(msgs[1].contains("no Release-side store"), "{msgs:#?}");
-    }
-
-    #[test]
-    fn paired_flag_is_clean() {
-        let src = "\
-struct S {\n\
-    // aimq-atomic: flag -- publishes shutdown\n\
-    done: AtomicBool,\n\
-}\n\
-impl S {\n\
-    fn set(&self) { self.done.store(true, Ordering::Release); }\n\
-    fn get(&self) -> bool { self.done.load(Ordering::Acquire) }\n\
-}\n";
-        assert!(rules_hit(src).is_empty(), "{:#?}", rules_hit(src));
-    }
-
-    #[test]
-    fn seqlock_version_word_licenses_relaxed_slots() {
-        let src = "\
-struct Cell {\n\
-    // aimq-atomic: seqlock -- version word\n\
-    version: AtomicU64,\n\
-    // aimq-atomic: seqlock -- payload ordered by version\n\
-    slot: AtomicU64,\n\
-}\n\
-impl Cell {\n\
-    fn write(&self, d: u64) {\n\
-        let v = self.version.load(Ordering::Relaxed);\n\
-        self.slot.fetch_add(d, Ordering::Relaxed);\n\
-        self.version.store(v + 2, Ordering::Release);\n\
-    }\n\
-    fn read(&self) -> u64 {\n\
-        let v = self.version.load(Ordering::Acquire);\n\
-        self.slot.load(Ordering::Relaxed)\n\
-    }\n\
-}\n";
-        assert!(rules_hit(src).is_empty(), "{:#?}", rules_hit(src));
-    }
-
-    #[test]
-    fn lone_relaxed_seqlock_op_is_flagged() {
-        let src = "\
-struct Cell {\n\
-    // aimq-atomic: seqlock -- version word\n\
-    version: AtomicU64,\n\
-}\n\
-impl Cell {\n\
-    fn peek(&self) -> u64 { self.version.load(Ordering::Relaxed) }\n\
-    fn bump(&self) { self.version.store(1, Ordering::Release); }\n\
-    fn read(&self) -> u64 { self.version.load(Ordering::Acquire) }\n\
-}\n";
-        let msgs = rules_hit(src);
+    fn unannotated_lock_field_is_flagged() {
+        let msgs = rules_hit("struct S { state: Mutex<u32>, hits: Counter }");
         assert_eq!(msgs.len(), 1, "{msgs:#?}");
-        assert!(msgs[0].contains("no Acquire/Release op or fence"));
+        assert!(msgs[0].contains("`state` has no lock-family"));
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //! workspace.
 //!
 //! The headline command, `cargo xtask lint`, enforces the invariants
-//! that neither rustc, clippy nor Cargo can check (see DESIGN.md,
-//! "Static analysis & invariants", for the full rule → mechanism
-//! table). Panic-freedom (`clippy::unwrap_used` and friends), hash
-//! containers and wall-clock reads (`clippy.toml` `disallowed-types` /
-//! `disallowed-methods`) and the crate DAG (Cargo plus the
-//! `tests/crate_dag.rs` manifest test) are enforced by the toolchain.
+//! that neither rustc, clippy, Cargo nor the type system can check (see
+//! DESIGN.md, "Static analysis & invariants", for the full rule →
+//! mechanism table). The toolchain carries the rest: panic-freedom
+//! (`clippy::unwrap_used` and friends), hash containers and wall-clock
+//! reads (`clippy.toml` `disallowed-types` / `disallowed-methods`), the
+//! crate DAG (Cargo plus the `tests/crate_dag.rs` manifest test), fault
+//! discipline (`#[must_use]` on the fault enums plus the
+//! `let_underscore_*`, `unused_result_ok` and wildcard-match lints),
+//! atomics (the raw types are banned outside three audited modules;
+//! `aimq_catalog::Counter` and `Flag` fix the orderings), and the HTTP
+//! error surface (the `ErrorCode` enum in `crates/http`, checked
+//! against DESIGN.md by a unit test).
+//!
 //! Two token-level rules stay here because clippy's versions would
 //! loosen them:
 //!
@@ -20,60 +27,30 @@
 //!   `PartialOrd::partial_cmp` would also fire inside every
 //!   `#[derive(PartialOrd)]`.
 //!
-//! With the concurrent runtime (worker pool, striped cache, atomic
-//! stats), two structure-aware families joined (see the `structure`
-//! module for the analysis engine):
+//! Four more need whole-program or annotation-driven reasoning:
 //!
-//! - **L5 lock-discipline**: every owned `Mutex` belongs to a named
-//!   lock family (`// aimq-lock: family(..) -- why`); acquisitions are
-//!   tracked guard-by-guard, and the workspace-wide family graph must
-//!   stay acyclic — plus no guard may be held across a blocking call
-//!   (`try_query`, `Condvar::wait`, channel `recv`).
-//! - **L6 atomics-audit**: every atomic field declares a role
-//!   (`// aimq-atomic: counter|flag|seqlock -- why`);
-//!   `Ordering::Relaxed` is legal only for counters (or fenced seqlock
-//!   payloads), and flag/seqlock roles must pair Acquire with Release.
-//!
-//! Three effect-system families ride on a shared call-graph fixpoint
-//! (`callgraph` module) and the directive grammar (see the `effects`
-//! module):
-//!
-//! - **L8 probe-effect**: a workspace may-call fixpoint computes every
-//!   function that can transitively reach `WebDatabase::try_query`;
-//!   probing paths are banned in the probe-free crates (`afd`, `sim`,
-//!   `rock`, `catalog`), banned under a live lock guard, and direct
-//!   boundary callers must be annotated
+//! - **L5 lock-discipline** (the `concurrency` module over facts from
+//!   `structure`): every owned `Mutex` belongs to a named lock family
+//!   (`// aimq-lock: family(..) -- why`); acquisitions are tracked
+//!   guard-by-guard, the workspace-wide family graph must stay acyclic,
+//!   and no guard may be held across a blocking call (`try_query`,
+//!   `Condvar::wait`, channel `recv`).
+//! - **L8 probe-effect** (the `effects` module, over the shared
+//!   `callgraph` fixpoint): every function that can transitively reach
+//!   `WebDatabase::try_query` is inferred; probing paths are banned in
+//!   the probe-free crates (`afd`, `sim`, `rock`, `catalog`) and under
+//!   a live lock guard, and direct boundary callers must be annotated
 //!   `// aimq-probe: entry -- <why>` (stale annotations are errors).
-//! - **L9 result-discipline**: non-test code may not discard fallible
-//!   results — `let _ =`, terminal `.ok();`, bare call statements to
-//!   functions returning `QueryError`/`ProbeError`/`ServeError`
-//!   results, and wildcard `_ =>` arms in matches over those enums are
-//!   all errors.
-//! - **L10 counter-arith**: fields annotated `aimq-atomic: counter` or
+//! - **L10 counter-arith** (`effects`): fields annotated
 //!   `// aimq-arith: counter -- <why>` are tracked in their declaring
 //!   file; plain `+`/`-`/`*` (or compound) arithmetic touching them
 //!   must become `saturating_*`/`checked_*` or carry
 //!   `// aimq-arith: allow -- <invariant>`.
-//!
-//! Three wire-contract families guard what clients of the HTTP front
-//! door actually see (the `wire` and `dataflow` modules):
-//!
-//! - **L11 wire-drift**: the JSON shape every `to_json()` produces is
-//!   extracted statically (keys from object literals, `Json::Obj`
-//!   construction marking dynamic shapes) into an inventory pinned at
-//!   `results/WIRE_SCHEMA.json` (`cargo xtask wire --write`); stale
-//!   pins, duplicate keys, and keys emitted under conditionals without
-//!   `// aimq-wire: optional -- <why>` are errors.
-//! - **L12 error-surface**: every watched fault-enum variant the
-//!   `http` crate handles must be *named* there as `Enum::Variant`,
-//!   and every `Response::error` machine code must be a string literal
-//!   that appears — with a matching status — in the DESIGN.md
-//!   `| machine code | status |` table (stale rows are errors too).
-//! - **L13 degradation-flow**: intra-procedural def-use tracking over
-//!   the token stream taints every constructed fault-enum value and
-//!   errors unless it reaches a sink (return/`?`/match-arm/tail, a
-//!   call or recorder argument, a tracked `let` whose use sinks, or
-//!   `// aimq-fault: sink -- <where accounting lives>`).
+//! - **L11 wire-drift** (the `wire` module): the JSON shape every
+//!   `to_json()` produces is extracted statically into an inventory
+//!   pinned at `results/WIRE_SCHEMA.json` (`cargo xtask wire
+//!   --write`); stale pins, duplicate keys, and keys emitted under
+//!   conditionals without `// aimq-wire: optional -- <why>` are errors.
 //!
 //! Diagnostics are rustc-style with file:line:col spans; per-line
 //! suppressions use `// aimq-lint: allow(<rule>) -- <justification>`
@@ -82,10 +59,14 @@
 //! `--explain <rule>` prints the registry entry. The pass is a
 //! hand-rolled lexical scan (`source` module) because the offline
 //! build environment cannot fetch `syn`.
+#![allow(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants,
+    reason = "the wildcard lints guard matches over the fault enums, which xtask cannot see"
+)]
 
 pub mod callgraph;
 pub mod concurrency;
-pub mod dataflow;
 pub mod effects;
 pub mod json;
 pub mod rules;
@@ -95,7 +76,6 @@ pub mod wire;
 
 pub use rules::{rule_info, Finding, RuleInfo, KNOWN_RULES, RULES};
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Library crates under the `indexing`, float-ordering and concurrency
@@ -146,8 +126,8 @@ impl LintReport {
 /// `xtask` itself, whose docs quote directive syntax verbatim), runs
 /// the per-file rules on the [`PANIC_CRATES`], and retains the
 /// structural facts. Pass 2 runs the workspace-wide checks over those
-/// facts (lock ordering, effects, wire contract, degradation flow),
-/// with pass-2 findings filtered through each file's own suppressions.
+/// facts (lock ordering, effects, wire contract), with pass-2 findings
+/// filtered through each file's own suppressions.
 pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let entries = scan_workspace(root)?;
@@ -175,8 +155,8 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let mut late: Vec<(usize, Finding)> = concurrency::check_workspace(&conc);
 
     // Pass 2b: effect-system rules (L8 probe-effect over the shared
-    // call graph, L9 result-discipline, L10 counter-arith) over every
-    // crate — bins and eval included, which the per-file rules skip.
+    // call graph, L10 counter-arith) over every crate — bins and eval
+    // included, which the per-file rules skip.
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()
@@ -189,37 +169,10 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         .collect();
     late.extend(effects::check_workspace(&eff_files).findings);
 
-    // Pass 2c: wire-contract rules (L11 wire-drift shape extraction,
-    // L12 error-surface) over every crate, plus the doc-anchored
-    // checks against DESIGN.md and the pinned schema inventory.
-    let wire_files: Vec<wire::WireFile> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| wire::WireFile {
-            idx: i,
-            crate_name: e.crate_name.as_str(),
-            rel: e.rel.display().to_string(),
-            scanned: &e.scanned,
-        })
-        .collect();
-    let design_text = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    let wire_report = wire::check_workspace(&wire_files, design_text.as_deref());
+    // Pass 2c: L11 wire-drift shape extraction over every crate, plus
+    // the check against the pinned schema inventory.
+    let wire_report = wire::check_workspace(&wire_files(&entries));
     late.extend(wire_report.findings);
-    for df in &wire_report.design_findings {
-        let design_lines: Vec<&str> = design_text.as_deref().unwrap_or("").lines().collect();
-        report.diagnostics.push(Diagnostic {
-            rule: "error-surface".to_string(),
-            path: PathBuf::from("DESIGN.md"),
-            line: df.line,
-            col: 1,
-            message: df.message.clone(),
-            snippet: design_lines
-                .get(df.line.saturating_sub(1))
-                .map(|l| l.trim_end().to_string())
-                .unwrap_or_default(),
-            help: df.help.to_string(),
-        });
-    }
     // Pin freshness: the checked-in inventory must match what the
     // extractor sees. Trees with no `to_json` surface and no pin file
     // (most lint fixtures) carry no obligation.
@@ -257,17 +210,6 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
             });
         }
     }
-
-    // Pass 2d: L13 degradation-flow def-use tracking, every crate.
-    let flow_files: Vec<dataflow::DataflowFile> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| dataflow::DataflowFile {
-            idx: i,
-            scanned: &e.scanned,
-        })
-        .collect();
-    late.extend(dataflow::check_workspace(&flow_files));
 
     for (idx, finding) in late {
         let entry = &entries[idx];
@@ -400,18 +342,21 @@ pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
 /// the exact text pinned at `results/WIRE_SCHEMA.json`.
 pub fn wire_inventory(root: &Path) -> std::io::Result<String> {
     let entries = scan_workspace(root)?;
-    let wire_files: Vec<wire::WireFile> = entries
+    let report = wire::check_workspace(&wire_files(&entries));
+    Ok(wire::render_inventory(&report.shapes))
+}
+
+/// The wire-pass view of the scanned workspace.
+fn wire_files(entries: &[Entry]) -> Vec<wire::WireFile<'_>> {
+    entries
         .iter()
         .enumerate()
         .map(|(i, e)| wire::WireFile {
             idx: i,
-            crate_name: e.crate_name.as_str(),
             rel: e.rel.display().to_string(),
             scanned: &e.scanned,
         })
-        .collect();
-    let report = wire::check_workspace(&wire_files, None);
-    Ok(wire::render_inventory(&report.shapes))
+        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -440,7 +385,7 @@ pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
 
 /// Per-file pass over pre-scanned facts: directive hygiene, the
 /// token-level rules (`indexing`, float-ordering), and the file-local
-/// halves of L5/L6.
+/// half of L5.
 fn lint_scanned(
     scanned: &source::ScannedFile,
     analysis: &structure::FileAnalysis,
@@ -509,23 +454,21 @@ fn lint_scanned(
 
 /// Render one diagnostic rustc-style.
 pub fn render(diag: &Diagnostic) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "error[aimq::{}]: {}", diag.rule, diag.message);
-    let _ = writeln!(
-        out,
-        "  --> {}:{}:{}",
-        diag.path.display(),
-        diag.line,
-        diag.col
-    );
     let gutter = diag.line.to_string();
     let pad = " ".repeat(gutter.len());
-    let _ = writeln!(out, "{pad} |");
-    let _ = writeln!(out, "{gutter} | {}", diag.snippet);
     let caret_pad = " ".repeat(diag.col.saturating_sub(1));
-    let _ = writeln!(out, "{pad} | {caret_pad}^");
+    let mut out = format!(
+        "error[aimq::{rule}]: {message}\n  --> {path}:{line}:{col}\n{pad} |\n{gutter} | \
+         {snippet}\n{pad} | {caret_pad}^\n",
+        rule = diag.rule,
+        message = diag.message,
+        path = diag.path.display(),
+        line = diag.line,
+        col = diag.col,
+        snippet = diag.snippet,
+    );
     if !diag.help.is_empty() {
-        let _ = writeln!(out, "{pad} = help: {}", diag.help);
+        out.push_str(&format!("{pad} = help: {}\n", diag.help));
     }
     out
 }

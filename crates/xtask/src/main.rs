@@ -217,10 +217,12 @@ fn wire(args: Vec<String>) -> ExitCode {
     match xtask::wire_inventory(&root) {
         Ok(rendered) => {
             if write {
-                let pin = root.join("results").join("WIRE_SCHEMA.json");
-                if let Some(dir) = pin.parent() {
-                    let _ = std::fs::create_dir_all(dir);
+                let results = root.join("results");
+                if let Err(err) = std::fs::create_dir_all(&results) {
+                    eprintln!("error: failed to create {}: {err}", results.display());
+                    return ExitCode::from(2);
                 }
+                let pin = results.join("WIRE_SCHEMA.json");
                 if let Err(err) = std::fs::write(&pin, &rendered) {
                     eprintln!("error: failed to write {}: {err}", pin.display());
                     return ExitCode::from(2);
@@ -269,7 +271,10 @@ fn pin(args: Vec<String>) -> ExitCode {
     };
     if write {
         let results = root.join("results");
-        let _ = std::fs::create_dir_all(&results);
+        if let Err(err) = std::fs::create_dir_all(&results) {
+            eprintln!("error: failed to create {}: {err}", results.display());
+            return ExitCode::from(2);
+        }
         for (name, rendered) in [
             ("PROBE_ENTRYPOINTS.txt", &probes_rendered),
             ("WIRE_SCHEMA.json", &wire_rendered),

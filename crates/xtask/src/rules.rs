@@ -5,23 +5,21 @@
 //! | `indexing` | eight library crates | direct `expr[...]` indexing/slicing |
 //! | `float-ordering` | eight library crates | `.partial_cmp(` calls on scores |
 //! | `lock-discipline` | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
-//! | `atomics-audit` | eight library crates | atomic fields without a role annotation, `Relaxed` outside `counter` roles, unpaired Acquire/Release |
 //! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
-//! | `result-discipline` | all aimq crates | `let _ =`, terminal `.ok();`, bare calls discarding fault-carrying `Result`s, wildcard `_ =>` arms over fault enums |
-//! | `counter-arith` | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching tracked budget/counter fields |
+//! | `counter-arith` | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching `aimq-arith: counter` fields |
 //! | `wire-drift` | all aimq crates | stale `results/WIRE_SCHEMA.json`, duplicate JSON keys, unannotated conditional keys in `to_json` bodies |
-//! | `error-surface` | all aimq crates | fault-enum variants never named at the HTTP boundary, machine codes missing from (or drifted against) the DESIGN.md status-code table |
-//! | `degradation-flow` | all aimq crates | constructed fault-enum values that never reach a sink (return, `?`, call/recorder, tail position) |
 //! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
 //! Every finding is an error. Panic-freedom, hash containers, the wall
-//! clock and the crate DAG are not here: clippy and Cargo enforce them
-//! (see DESIGN.md, "Static analysis & invariants").
+//! clock, the crate DAG, fault discipline, atomics and the HTTP error
+//! surface are not here: rustc, clippy, Cargo and the type system
+//! enforce them (see DESIGN.md, "Static analysis & invariants").
 //!
-//! The structure-aware families L5 `lock-discipline` and L6
-//! `atomics-audit` live in [`crate::concurrency`] (facts from
-//! [`crate::structure`]). They are listed here so suppression,
-//! `--explain`, and the doc table stay in one registry.
+//! The structure-aware family L5 `lock-discipline` lives in
+//! [`crate::concurrency`] (facts from [`crate::structure`]); L8 and L10
+//! live in [`crate::effects`] and L11 in [`crate::wire`]. They are
+//! listed here so suppression, `--explain`, and the doc table stay in
+//! one registry.
 
 use crate::source::ScannedFile;
 
@@ -109,13 +107,9 @@ pub const KNOWN_RULES: &[&str] = &[
     "indexing",
     "float-ordering",
     "lock-discipline",
-    "atomics-audit",
     "probe-effect",
-    "result-discipline",
     "counter-arith",
     "wire-drift",
-    "error-surface",
-    "degradation-flow",
 ];
 
 /// One registry entry backing `cargo xtask lint --explain <rule>` and
@@ -170,18 +164,6 @@ pub const RULES: &[RuleInfo] = &[
                  acquisition order, and scope guards so they drop before blocking calls.",
     },
     RuleInfo {
-        id: "atomics-audit",
-        summary: "atomic fields without a role, `Relaxed` outside counter roles, and \
-                  unpaired Acquire/Release",
-        rationale: "~40 `Ordering::Relaxed` sites entered with the concurrent runtime; \
-                    relaxed ops are correct for statistics counters but silently wrong for \
-                    flags and seqlock payloads, and the difference is invisible in review \
-                    without a declared intent.",
-        remedy: "annotate each atomic with `// aimq-atomic: counter|flag|seqlock -- <why>`; \
-                 flags pair Release stores with Acquire loads; seqlock payloads stay Relaxed \
-                 only under a version-word fence in the same function.",
-    },
-    RuleInfo {
         id: "probe-effect",
         summary: "inferred probing paths in probe-free crates, probes made under a live lock \
                   guard, and unannotated or stale probing entry points",
@@ -197,18 +179,6 @@ pub const RULES: &[RuleInfo] = &[
                  `// aimq-lint: allow(probe-effect) -- <why>`.",
     },
     RuleInfo {
-        id: "result-discipline",
-        summary: "silently discarded fallible results (`let _ =`, terminal `.ok();`, bare \
-                  call statements) and wildcard `_ =>` arms over fault enums",
-        rationale: "the fault taxonomy (`QueryError`, `ProbeError`, `ServeError`) exists so \
-                    degradation is explicit; a swallowed error or a wildcard arm absorbs a \
-                    fault the engine was designed to account for, and a newly added fault \
-                    variant should not compile until every match decides what it means.",
-        remedy: "propagate with `?`, handle with `match`/`if let Err`, count the event in \
-                 stats, and name every enum variant; justify intentional drops with \
-                 `// aimq-lint: allow(result-discipline) -- <why>`.",
-    },
-    RuleInfo {
         id: "counter-arith",
         summary: "unchecked `+`/`-`/`*` (or compound) arithmetic in statements touching \
                   tracked budget/counter fields",
@@ -216,9 +186,10 @@ pub const RULES: &[RuleInfo] = &[
                     the engine's degradation contract is written in; debug builds panic on \
                     overflow but release builds wrap silently, turning an exhausted budget \
                     into a fresh one.",
-        remedy: "track fields with `// aimq-atomic: counter` or `// aimq-arith: counter -- \
-                 <what it counts>`, use `saturating_*`/`checked_*` arithmetic on them, and \
-                 justify bounded sites with `// aimq-arith: allow -- <invariant>`.",
+        remedy: "track plain integer fields with `// aimq-arith: counter -- <what it counts>`, \
+                 use `saturating_*`/`checked_*` arithmetic on them, and justify bounded sites \
+                 with `// aimq-arith: allow -- <invariant>`. Shared atomic counters are \
+                 `aimq_catalog::Counter`, whose `add` already saturates.",
     },
     RuleInfo {
         id: "wire-drift",
@@ -234,34 +205,6 @@ pub const RULES: &[RuleInfo] = &[
                  --write`) and commit the diff; rename/remove duplicate keys; annotate \
                  intentionally conditional keys with `// aimq-wire: optional -- <when \
                  clients see the key absent>`.",
-    },
-    RuleInfo {
-        id: "error-surface",
-        summary: "fault-enum variants never named at the HTTP mapping boundary, and \
-                  `Response::error` machine codes that drift from the DESIGN.md \
-                  status-code table",
-        rationale: "the fault taxonomy is only explainable if every variant has a decided \
-                    wire mapping and every machine code clients can see is documented with \
-                    its status; a rewritten match that absorbs a variant, or an ad-hoc \
-                    code invented at one call site, silently changes the public error \
-                    surface.",
-        remedy: "name every watched variant as `Enum::Variant` in the http crate's \
-                 mapping code, pass machine codes as string literals, and keep the \
-                 DESIGN.md `| machine code | status |` table in sync (add new codes, \
-                 delete stale rows).",
-    },
-    RuleInfo {
-        id: "degradation-flow",
-        summary: "constructed fault-enum values (`QueryError`, `ProbeError`, \
-                  `ServeError`) that never reach a sink",
-        rationale: "the paper's degradation accounting treats the explanation as part of \
-                    the answer; a fault value built and then dropped is a probe failure \
-                    the `DegradationReport` never hears about, and it compiles clean \
-                    because dropping a value is not an error in Rust.",
-        remedy: "return or `?`-raise the value, pass it into a recorder \
-                 (`AccessStats`, `DegradationReport`) or any call, or annotate \
-                 `// aimq-fault: sink -- <where the accounting lives>` when the sink is \
-                 real but invisible to the lexical pass.",
     },
     RuleInfo {
         id: "lint-allow",

@@ -48,16 +48,12 @@ pub struct ScannedFile {
     pub allows: Vec<AllowDirective>,
     /// Parsed `aimq-lock:` family/use annotations.
     pub lock_directives: Vec<LockDirective>,
-    /// Parsed `aimq-atomic:` role annotations.
-    pub atomic_directives: Vec<AtomicDirective>,
     /// Parsed `aimq-probe: entry` annotations (L8 probe effects).
     pub probe_directives: Vec<ProbeDirective>,
     /// Parsed `aimq-arith:` annotations (L10 counter arithmetic).
     pub arith_directives: Vec<ArithDirective>,
     /// Parsed `aimq-wire: optional` annotations (L11 wire drift).
     pub wire_directives: Vec<WireDirective>,
-    /// Parsed `aimq-fault: sink` annotations (L13 degradation flow).
-    pub fault_directives: Vec<FaultDirective>,
     /// Malformed directives (missing justification, bad syntax).
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -100,57 +96,6 @@ pub struct LockDirective {
     pub justification: String,
 }
 
-/// Role taxonomy for atomic fields (L6 atomics audit). The role decides
-/// which memory orderings the lint accepts on the field's operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicRole {
-    /// Monotone, independently meaningful tally: `Relaxed` everywhere
-    /// is correct (per-location modification order is all that matters).
-    Counter,
-    /// Cross-thread publication latch: stores must be `Release`-or-
-    /// stronger, loads `Acquire`-or-stronger; `Relaxed` is an error.
-    Flag,
-    /// Seqlock protocol word (or the slots it versions): `Relaxed` is
-    /// permitted only alongside an Acquire/Release op or fence in the
-    /// same function, and the field must exhibit an Acquire/Release
-    /// pair somewhere in its file.
-    Seqlock,
-}
-
-impl AtomicRole {
-    /// Parse a role keyword.
-    pub fn parse(s: &str) -> Option<AtomicRole> {
-        match s {
-            "counter" => Some(AtomicRole::Counter),
-            "flag" => Some(AtomicRole::Flag),
-            "seqlock" => Some(AtomicRole::Seqlock),
-            _ => None,
-        }
-    }
-
-    /// The keyword form used in annotations.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AtomicRole::Counter => "counter",
-            AtomicRole::Flag => "flag",
-            AtomicRole::Seqlock => "seqlock",
-        }
-    }
-}
-
-/// A parsed `// aimq-atomic: <role> -- justification` annotation.
-#[derive(Debug, Clone)]
-pub struct AtomicDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code the annotation applies to (1-based).
-    pub target_line: usize,
-    /// Declared role.
-    pub role: AtomicRole,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 /// A parsed `// aimq-probe: entry -- justification` annotation (L8).
 ///
 /// Marks a function that directly calls the `WebDatabase::try_query`
@@ -186,32 +131,14 @@ pub struct WireDirective {
     pub justification: String,
 }
 
-/// A parsed `// aimq-fault: sink -- justification` annotation (L13).
-///
-/// Marks a fault-enum construction site whose value reaches accounting
-/// through a path the dataflow walk cannot see (stored into a field
-/// read elsewhere, threaded through a callback); the justification
-/// must say where the accounting lives. The lint errors on constructed
-/// faults that reach no sink and on stale annotations whose line no
-/// longer constructs a fault.
-#[derive(Debug, Clone)]
-pub struct FaultDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code (the construction's line) the annotation covers.
-    pub target_line: usize,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 /// What an `aimq-arith:` annotation asserts (L10 counter arithmetic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithAnnotation {
     /// `counter` on a plain-integer field declaration: the field is a
     /// budget/counter/statistic whose arithmetic must not wrap, so
     /// every `+`/`-`/`*` touching it needs `saturating_*`/`checked_*`
-    /// (atomic fields annotated `aimq-atomic: counter` are tracked
-    /// automatically and do not need this).
+    /// (atomic counters are `aimq_catalog::Counter`, which saturates
+    /// on its own).
     Counter,
     /// `allow` on an arithmetic site: the stated invariant bounds the
     /// operands, so plain arithmetic cannot wrap there.
@@ -233,11 +160,9 @@ pub struct ArithDirective {
 
 const DIRECTIVE: &str = "aimq-lint:";
 const LOCK_DIRECTIVE: &str = "aimq-lock:";
-const ATOMIC_DIRECTIVE: &str = "aimq-atomic:";
 const PROBE_DIRECTIVE: &str = "aimq-probe:";
 const ARITH_DIRECTIVE: &str = "aimq-arith:";
 const WIRE_DIRECTIVE: &str = "aimq-wire:";
-const FAULT_DIRECTIVE: &str = "aimq-fault:";
 
 /// Scan `text` into classes, tokens, test regions and suppressions.
 pub fn scan(text: &str) -> ScannedFile {
@@ -252,11 +177,9 @@ pub fn scan(text: &str) -> ScannedFile {
         test_regions,
         allows: directives.allows,
         lock_directives: directives.locks,
-        atomic_directives: directives.atomics,
         probe_directives: directives.probes,
         arith_directives: directives.ariths,
         wire_directives: directives.wires,
-        fault_directives: directives.faults,
         bad_directives: directives.bad,
     }
 }
@@ -552,11 +475,9 @@ fn match_attr(tokens: &[Token], k: usize, inner: &[&str]) -> Option<usize> {
 struct Directives {
     allows: Vec<AllowDirective>,
     locks: Vec<LockDirective>,
-    atomics: Vec<AtomicDirective>,
     probes: Vec<ProbeDirective>,
     ariths: Vec<ArithDirective>,
     wires: Vec<WireDirective>,
-    faults: Vec<FaultDirective>,
     bad: Vec<(usize, String)>,
 }
 
@@ -564,11 +485,9 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
     let mut out = Directives {
         allows: Vec::new(),
         locks: Vec::new(),
-        atomics: Vec::new(),
         probes: Vec::new(),
         ariths: Vec::new(),
         wires: Vec::new(),
-        faults: Vec::new(),
         bad: Vec::new(),
     };
     let mut offset = 0usize;
@@ -632,17 +551,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
                 }),
                 Err(msg) => out.bad.push((line, msg)),
             }
-        } else if let Some(pos) = comment.find(ATOMIC_DIRECTIVE) {
-            let body = comment[pos + ATOMIC_DIRECTIVE.len()..].trim();
-            match parse_atomic(body) {
-                Ok((role, justification)) => out.atomics.push(AtomicDirective {
-                    line,
-                    target_line: target_of(idx),
-                    role,
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
         } else if let Some(pos) = comment.find(PROBE_DIRECTIVE) {
             let body = comment[pos + PROBE_DIRECTIVE.len()..].trim();
             match parse_probe(body) {
@@ -668,16 +576,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
             let body = comment[pos + WIRE_DIRECTIVE.len()..].trim();
             match parse_wire(body) {
                 Ok(justification) => out.wires.push(WireDirective {
-                    line,
-                    target_line: target_of(idx),
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
-        } else if let Some(pos) = comment.find(FAULT_DIRECTIVE) {
-            let body = comment[pos + FAULT_DIRECTIVE.len()..].trim();
-            match parse_fault(body) {
-                Ok(justification) => out.faults.push(FaultDirective {
                     line,
                     target_line: target_of(idx),
                     justification,
@@ -767,25 +665,6 @@ fn parse_lock(body: &str) -> Result<(LockAnnotation, String), String> {
     Ok((annotation, justification.to_string()))
 }
 
-/// Parse `<role> -- justification` where role ∈ {counter, flag, seqlock}.
-fn parse_atomic(body: &str) -> Result<(AtomicRole, String), String> {
-    let (word, tail) = match body.find(|c: char| c.is_ascii_whitespace()) {
-        Some(n) => (&body[..n], body[n..].trim()),
-        None => (body, ""),
-    };
-    let role = AtomicRole::parse(word).ok_or_else(|| {
-        format!("unknown atomic role `{word}`: expected `counter`, `flag` or `seqlock`")
-    })?;
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(format!(
-            "atomic role annotation requires a justification: \
-             `{ATOMIC_DIRECTIVE} {word} -- <why this role / ordering is sound>`"
-        ));
-    }
-    Ok((role, justification.to_string()))
-}
-
 /// Parse `entry -- justification`.
 fn parse_probe(body: &str) -> Result<String, String> {
     let tail = body
@@ -813,22 +692,6 @@ fn parse_wire(body: &str) -> Result<String, String> {
         return Err(format!(
             "optional wire key requires a justification: \
              `{WIRE_DIRECTIVE} optional -- <when clients see the key absent>`"
-        ));
-    }
-    Ok(justification.to_string())
-}
-
-/// Parse `sink -- justification`.
-fn parse_fault(body: &str) -> Result<String, String> {
-    let tail = body
-        .strip_prefix("sink")
-        .ok_or_else(|| format!("expected `sink` after `{FAULT_DIRECTIVE}`"))?
-        .trim();
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(format!(
-            "fault sink annotation requires a justification: \
-             `{FAULT_DIRECTIVE} sink -- <where the accounting lives>`"
         ));
     }
     Ok(justification.to_string())
@@ -952,24 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_role_directive_parses() {
-        let src = "// aimq-atomic: seqlock -- even/odd version word\nversion: AtomicU64,";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.atomic_directives[0].role, AtomicRole::Seqlock);
-        assert_eq!(f.atomic_directives[0].target_line, 2);
-    }
-
-    #[test]
-    fn atomic_role_rejects_unknown_role_and_missing_why() {
-        let unknown = scan("// aimq-atomic: gauge -- hmm\nx: AtomicU64,");
-        assert_eq!(unknown.bad_directives.len(), 1);
-        assert!(unknown.bad_directives[0].1.contains("unknown atomic role"));
-        let bare = scan("// aimq-atomic: counter\nx: AtomicU64,");
-        assert_eq!(bare.bad_directives.len(), 1);
-    }
-
-    #[test]
     fn probe_entry_directive_parses_and_targets_the_fn_line() {
         let src =
             "// aimq-probe: entry -- budget accounted in ResilienceReport\nfn probe(&self) {}";
@@ -1025,23 +870,6 @@ mod tests {
         let bare = scan("// aimq-wire: optional\n(\"k\", Json::Null),");
         assert_eq!(bare.bad_directives.len(), 1);
         let wrong = scan("// aimq-wire: maybe -- nope\n(\"k\", Json::Null),");
-        assert_eq!(wrong.bad_directives.len(), 1);
-    }
-
-    #[test]
-    fn fault_sink_directive_parses_and_targets_the_construction_line() {
-        let src = "// aimq-fault: sink -- recorded into AccessStats by the caller\nlet e = QueryError::Timeout;";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.fault_directives.len(), 1);
-        assert_eq!(f.fault_directives[0].target_line, 2);
-    }
-
-    #[test]
-    fn fault_directive_requires_keyword_and_justification() {
-        let bare = scan("// aimq-fault: sink\nlet e = QueryError::Timeout;");
-        assert_eq!(bare.bad_directives.len(), 1);
-        let wrong = scan("// aimq-fault: source -- nope\nlet e = QueryError::Timeout;");
         assert_eq!(wrong.bad_directives.len(), 1);
     }
 }

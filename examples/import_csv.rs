@@ -65,6 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&path)?;
     Ok(())
 }

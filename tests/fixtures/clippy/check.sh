@@ -1,6 +1,7 @@
 #!/bin/sh
-# Checks that clippy and Cargo enforce what the retired xtask rules
-# (panic, hashmap, wallclock, layering) used to. Every violation crate
+# Checks that rustc, clippy and Cargo enforce what the retired xtask
+# rules (panic, hashmap, wallclock, layering, result-discipline,
+# degradation-flow, atomics-audit) used to. Every violation crate
 # in this directory must fail under `cargo clippy -- -D warnings` with
 # exactly the expected number of diagnostics per lint or error code;
 # every twin must pass, test targets included.
@@ -58,4 +59,11 @@ rejects wallclock clippy::disallowed_methods=5
 accepts wallclock_expect
 rejects layering E0432=1
 accepts layering_declared
+rejects fault_discipline clippy::let_underscore_must_use=1 \
+    clippy::let_underscore_untyped=1 clippy::unused_result_ok=1 \
+    unused_must_use=2 unused_variables=1 path_statements=1 \
+    clippy::match_wildcard_for_single_variants=1 clippy::wildcard_enum_match_arm=1
+accepts fault_discipline_expect
+rejects raw_atomic clippy::disallowed_types=4
+accepts raw_atomic_expect
 exit $status
