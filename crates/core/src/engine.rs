@@ -366,20 +366,15 @@ impl Provenance {
     #[must_use]
     pub fn to_json(&self, schema: &Schema) -> Json {
         match self {
-            // aimq-wire: optional -- the tag is per-arm; exactly one `kind` is always present
             Provenance::BaseSet => Json::obj(vec![("kind", Json::Str("base_set".into()))]),
-            // aimq-wire: optional -- the tag is per-arm; exactly one `kind` is always present
             Provenance::External => Json::obj(vec![("kind", Json::Str("external".into()))]),
             Provenance::Relaxed {
                 base_index,
                 relaxed_attrs,
             } => Json::obj(vec![
-                // aimq-wire: optional -- the tag is per-arm; exactly one `kind` is always present
                 ("kind", Json::Str("relaxed".into())),
-                // aimq-wire: optional -- only `kind:"relaxed"` carries the origin index
                 ("base_index", Json::Num(*base_index as f64)),
                 (
-                    // aimq-wire: optional -- only `kind:"relaxed"` names the dropped attributes
                     "relaxed_attrs",
                     Json::Arr(
                         relaxed_attrs

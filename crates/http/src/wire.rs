@@ -76,7 +76,8 @@ pub enum FrameError {
     BadHeader,
     /// The header block exceeded [`MAX_HEADER_BYTES`].
     HeadersTooLarge,
-    /// `Content-Length` was present but not a decimal integer.
+    /// `Content-Length` was not a plain decimal integer (`1*DIGIT`), or
+    /// appeared more than once.
     BadContentLength,
     /// The declared body length exceeded [`MAX_BODY_BYTES`].
     BodyTooLarge,
@@ -93,7 +94,7 @@ impl fmt::Display for FrameError {
             FrameError::HeadersTooLarge => {
                 write!(f, "header block exceeds {MAX_HEADER_BYTES} bytes")
             }
-            FrameError::BadContentLength => write!(f, "unparseable content-length"),
+            FrameError::BadContentLength => write!(f, "invalid or repeated content-length"),
             FrameError::BodyTooLarge => write!(f, "body exceeds {MAX_BODY_BYTES} bytes"),
             FrameError::UnsupportedTransferEncoding => {
                 write!(f, "transfer-encoding is not supported; use content-length")
@@ -180,17 +181,26 @@ impl Decoder {
         }
 
         let mut headers = Vec::new();
-        let mut content_length: usize = 0;
+        // RFC 9112 §6.3: a repeated or non-`1*DIGIT` length is a framing
+        // ambiguity, so it is rejected rather than resolved.
+        let mut content_length: Option<usize> = None;
         for line in lines {
             let (name, value) = parse_header_line(line).ok_or(FrameError::BadHeader)?;
             if name == "content-length" {
-                content_length = value.parse().map_err(|_| FrameError::BadContentLength)?;
+                if content_length.is_some()
+                    || value.is_empty()
+                    || !value.bytes().all(|b| b.is_ascii_digit())
+                {
+                    return Err(FrameError::BadContentLength);
+                }
+                content_length = Some(value.parse().map_err(|_| FrameError::BadContentLength)?);
             }
             if name == "transfer-encoding" {
                 return Err(FrameError::UnsupportedTransferEncoding);
             }
             headers.push((name, value));
         }
+        let content_length = content_length.unwrap_or(0);
         if content_length > MAX_BODY_BYTES {
             return Err(FrameError::BodyTooLarge);
         }
@@ -487,6 +497,26 @@ mod tests {
         );
         let huge = vec![b'a'; MAX_HEADER_BYTES + 2];
         assert_eq!(decode_all(&huge).unwrap_err(), FrameError::HeadersTooLarge);
+    }
+
+    #[test]
+    fn ambiguous_content_length_is_rejected() {
+        // A sign is not `1*DIGIT`, even though `usize::from_str` takes it.
+        assert_eq!(
+            decode_all(b"GET /x HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd").unwrap_err(),
+            FrameError::BadContentLength
+        );
+        // Repeated lengths are rejected whether or not they agree.
+        assert_eq!(
+            decode_all(b"GET /x HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 2\r\n\r\nabcd")
+                .unwrap_err(),
+            FrameError::BadContentLength
+        );
+        assert_eq!(
+            decode_all(b"GET /x HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 4\r\n\r\nabcd")
+                .unwrap_err(),
+            FrameError::BadContentLength
+        );
     }
 
     #[test]

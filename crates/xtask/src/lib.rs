@@ -27,7 +27,7 @@
 //!   `PartialOrd::partial_cmp` would also fire inside every
 //!   `#[derive(PartialOrd)]`.
 //!
-//! Four more need whole-program or annotation-driven reasoning:
+//! Three more need whole-program or annotation-driven reasoning:
 //!
 //! - **L5 lock-discipline** (the `concurrency` module over facts from
 //!   `structure`): every owned `Mutex` belongs to a named lock family
@@ -46,19 +46,18 @@
 //!   file; plain `+`/`-`/`*` (or compound) arithmetic touching them
 //!   must become `saturating_*`/`checked_*` or carry
 //!   `// aimq-arith: allow -- <invariant>`.
-//! - **L11 wire-drift** (the `wire` module): the JSON shape every
-//!   `to_json()` produces is extracted statically into an inventory
-//!   pinned at `results/WIRE_SCHEMA.json` (`cargo xtask wire
-//!   --write`); stale pins, duplicate keys, and keys emitted under
-//!   conditionals without `// aimq-wire: optional -- <why>` are errors.
+//!
+//! The JSON wire contract is pinned outside xtask, by rendering it:
+//! `tests/wire_golden.rs` runs every `to_json()` on fixed samples and
+//! compares the bytes with `results/WIRE_GOLDEN.txt`.
 //!
 //! Diagnostics are rustc-style with file:line:col spans; per-line
 //! suppressions use `// aimq-lint: allow(<rule>) -- <justification>`
 //! and the justification is mandatory. `--json` emits the same
-//! findings machine-readably (see the `json` module), and
-//! `--explain <rule>` prints the registry entry. The pass is a
-//! hand-rolled lexical scan (`source` module) because the offline
-//! build environment cannot fetch `syn`.
+//! findings machine-readably through `aimq_catalog::Json` (see the
+//! `json` module), and `--explain <rule>` prints the registry entry.
+//! The pass is a hand-rolled lexical scan (`source` module) because
+//! the offline build environment cannot fetch `syn`.
 #![allow(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants,
@@ -72,11 +71,12 @@ pub mod json;
 pub mod rules;
 pub mod source;
 pub mod structure;
-pub mod wire;
 
 pub use rules::{rule_info, Finding, RuleInfo, KNOWN_RULES, RULES};
 
 use std::path::{Path, PathBuf};
+
+use aimq_catalog::Json;
 
 /// Library crates under the `indexing`, float-ordering and concurrency
 /// rules (each also denies clippy's panic lints at its root). `http`
@@ -118,6 +118,29 @@ impl LintReport {
     pub fn errors(&self) -> usize {
         self.diagnostics.len()
     }
+
+    /// The report as the `--json` document: `{"errors": N,
+    /// "findings": [{rule, file, line, col, message, help}]}`.
+    pub fn to_json(&self) -> Json {
+        let findings = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj(vec![
+                    ("rule", Json::Str(d.rule.clone())),
+                    ("file", Json::Str(d.path.display().to_string())),
+                    ("line", Json::Num(d.line as f64)),
+                    ("col", Json::Num(d.col as f64)),
+                    ("message", Json::Str(d.message.clone())),
+                    ("help", Json::Str(d.help.clone())),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("errors", Json::Num(self.errors() as f64)),
+            ("findings", Json::Arr(findings)),
+        ])
+    }
 }
 
 /// Lint a workspace-shaped tree rooted at `root`.
@@ -126,8 +149,8 @@ impl LintReport {
 /// `xtask` itself, whose docs quote directive syntax verbatim), runs
 /// the per-file rules on the [`PANIC_CRATES`], and retains the
 /// structural facts. Pass 2 runs the workspace-wide checks over those
-/// facts (lock ordering, effects, wire contract), with pass-2 findings
-/// filtered through each file's own suppressions.
+/// facts (lock ordering, effects), with pass-2 findings filtered
+/// through each file's own suppressions.
 pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let entries = scan_workspace(root)?;
@@ -168,48 +191,6 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         })
         .collect();
     late.extend(effects::check_workspace(&eff_files).findings);
-
-    // Pass 2c: L11 wire-drift shape extraction over every crate, plus
-    // the check against the pinned schema inventory.
-    let wire_report = wire::check_workspace(&wire_files(&entries));
-    late.extend(wire_report.findings);
-    // Pin freshness: the checked-in inventory must match what the
-    // extractor sees. Trees with no `to_json` surface and no pin file
-    // (most lint fixtures) carry no obligation.
-    let pin_path = root.join("results").join("WIRE_SCHEMA.json");
-    let pinned = std::fs::read_to_string(&pin_path).ok();
-    if !wire_report.shapes.is_empty() || pinned.is_some() {
-        let rendered = wire::render_inventory(&wire_report.shapes);
-        let (stale, message) = match &pinned {
-            None => (
-                true,
-                format!(
-                    "results/WIRE_SCHEMA.json is missing but {} JSON shape(s) exist",
-                    wire_report.shapes.len()
-                ),
-            ),
-            Some(text) if *text != rendered => (
-                true,
-                "results/WIRE_SCHEMA.json is stale: the pinned JSON schema inventory does \
-                 not match the shapes the `to_json` impls produce"
-                    .to_string(),
-            ),
-            Some(_) => (false, String::new()),
-        };
-        if stale {
-            report.diagnostics.push(Diagnostic {
-                rule: "wire-drift".to_string(),
-                path: PathBuf::from("results/WIRE_SCHEMA.json"),
-                line: 1,
-                col: 1,
-                message,
-                snippet: String::new(),
-                help: "regenerate with `cargo xtask pin --write` (or `wire --write`) and \
-                       review the diff like any other contract change"
-                    .to_string(),
-            });
-        }
-    }
 
     for (idx, finding) in late {
         let entry = &entries[idx];
@@ -336,27 +317,6 @@ pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
     out.entries.sort();
     out.entries.dedup();
     Ok(out)
-}
-
-/// Render the wire-schema inventory for the workspace at `root` —
-/// the exact text pinned at `results/WIRE_SCHEMA.json`.
-pub fn wire_inventory(root: &Path) -> std::io::Result<String> {
-    let entries = scan_workspace(root)?;
-    let report = wire::check_workspace(&wire_files(&entries));
-    Ok(wire::render_inventory(&report.shapes))
-}
-
-/// The wire-pass view of the scanned workspace.
-fn wire_files(entries: &[Entry]) -> Vec<wire::WireFile<'_>> {
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| wire::WireFile {
-            idx: i,
-            rel: e.rel.display().to_string(),
-            scanned: &e.scanned,
-        })
-        .collect()
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

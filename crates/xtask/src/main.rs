@@ -6,8 +6,7 @@
 //! cargo xtask lint --json          # machine-readable findings on stdout
 //! cargo xtask lint --explain RULE  # print a rule's rationale and remedy
 //! cargo xtask probes               # print the probing entry-point list
-//! cargo xtask wire                 # print the JSON wire-schema inventory
-//! cargo xtask pin --write          # regenerate both pinned artifacts
+//! cargo xtask probes --write       # regenerate results/PROBE_ENTRYPOINTS.txt
 //! cargo xtask annotate lint.json   # GitHub ::error annotations from --json
 //! ```
 
@@ -19,8 +18,6 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("lint") => lint(args.collect()),
         Some("probes") => probes(args.collect()),
-        Some("wire") => wire(args.collect()),
-        Some("pin") => pin(args.collect()),
         Some("annotate") => annotate(args.collect()),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`");
@@ -38,8 +35,6 @@ fn usage() {
     eprintln!(
         "usage: cargo xtask lint [--root DIR] [--json] [--explain RULE]\n\
          \x20      cargo xtask probes [--root DIR] [--write]\n\
-         \x20      cargo xtask wire [--root DIR] [--write]\n\
-         \x20      cargo xtask pin [--root DIR] [--write]\n\
          \x20      cargo xtask annotate <lint.json>"
     );
 }
@@ -109,7 +104,7 @@ fn lint(args: Vec<String>) -> ExitCode {
     };
 
     if json {
-        println!("{}", xtask::json::to_json(&report));
+        println!("{}", report.to_json().to_string_compact());
     } else {
         for diag in &report.diagnostics {
             print!("{}", xtask::render(diag));
@@ -181,120 +176,6 @@ fn probes(args: Vec<String>) -> ExitCode {
     }
 }
 
-/// Parse the shared `[--root DIR] [--write]` tail used by the pinned-
-/// artifact commands.
-fn pin_flags(args: Vec<String>) -> Result<(PathBuf, bool), ExitCode> {
-    let mut root = default_root();
-    let mut write = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => {
-                    eprintln!("--root requires a directory");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--write" => write = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-                return Err(ExitCode::from(2));
-            }
-        }
-    }
-    Ok((root, write))
-}
-
-/// Print (or, with `--write`, pin) the JSON wire-schema inventory —
-/// the exact text CI diffs against `results/WIRE_SCHEMA.json`.
-fn wire(args: Vec<String>) -> ExitCode {
-    let (root, write) = match pin_flags(args) {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
-    match xtask::wire_inventory(&root) {
-        Ok(rendered) => {
-            if write {
-                let results = root.join("results");
-                if let Err(err) = std::fs::create_dir_all(&results) {
-                    eprintln!("error: failed to create {}: {err}", results.display());
-                    return ExitCode::from(2);
-                }
-                let pin = results.join("WIRE_SCHEMA.json");
-                if let Err(err) = std::fs::write(&pin, &rendered) {
-                    eprintln!("error: failed to write {}: {err}", pin.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!("wrote wire schema inventory to {}", pin.display());
-            } else {
-                print!("{rendered}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("error: failed to scan {}: {err}", root.display());
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// Regenerate every pinned artifact in one documented entry point:
-/// `results/PROBE_ENTRYPOINTS.txt` (L8) and `results/WIRE_SCHEMA.json`
-/// (L11). Without `--write`, prints both with headers so CI and humans
-/// can eyeball the would-be pins.
-fn pin(args: Vec<String>) -> ExitCode {
-    let (root, write) = match pin_flags(args) {
-        Ok(parsed) => parsed,
-        Err(code) => return code,
-    };
-    let probes_rendered = match xtask::probe_summary(&root) {
-        Ok(summary) => {
-            let mut rendered = String::new();
-            for entry in &summary.entries {
-                rendered.push_str(&format!("{} {}\n", entry.path.display(), entry.fn_name));
-            }
-            rendered
-        }
-        Err(err) => {
-            eprintln!("error: failed to scan {}: {err}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let wire_rendered = match xtask::wire_inventory(&root) {
-        Ok(rendered) => rendered,
-        Err(err) => {
-            eprintln!("error: failed to scan {}: {err}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    if write {
-        let results = root.join("results");
-        if let Err(err) = std::fs::create_dir_all(&results) {
-            eprintln!("error: failed to create {}: {err}", results.display());
-            return ExitCode::from(2);
-        }
-        for (name, rendered) in [
-            ("PROBE_ENTRYPOINTS.txt", &probes_rendered),
-            ("WIRE_SCHEMA.json", &wire_rendered),
-        ] {
-            let pin = results.join(name);
-            if let Err(err) = std::fs::write(&pin, rendered) {
-                eprintln!("error: failed to write {}: {err}", pin.display());
-                return ExitCode::from(2);
-            }
-            eprintln!("pinned {}", pin.display());
-        }
-    } else {
-        println!("# results/PROBE_ENTRYPOINTS.txt");
-        print!("{probes_rendered}");
-        println!("# results/WIRE_SCHEMA.json");
-        print!("{wire_rendered}");
-    }
-    ExitCode::SUCCESS
-}
-
 /// Turn `--json` output into GitHub Actions annotations. Exit status
 /// reflects only I/O and parse health — CI fails via the lint step
 /// itself, so annotating never masks (or doubles) that signal.
@@ -310,7 +191,7 @@ fn annotate(args: Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let doc = match xtask::json::parse(&text) {
+    let doc = match aimq_catalog::Json::parse(&text) {
         Ok(doc) => doc,
         Err(err) => {
             eprintln!("error: {path} is not valid lint JSON: {err}");

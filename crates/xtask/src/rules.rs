@@ -7,19 +7,19 @@
 //! | `lock-discipline` | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
 //! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
 //! | `counter-arith` | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching `aimq-arith: counter` fields |
-//! | `wire-drift` | all aimq crates | stale `results/WIRE_SCHEMA.json`, duplicate JSON keys, unannotated conditional keys in `to_json` bodies |
 //! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
 //! Every finding is an error. Panic-freedom, hash containers, the wall
 //! clock, the crate DAG, fault discipline, atomics and the HTTP error
 //! surface are not here: rustc, clippy, Cargo and the type system
-//! enforce them (see DESIGN.md, "Static analysis & invariants").
+//! enforce them. Nor is the JSON wire contract, which
+//! `tests/wire_golden.rs` pins by rendering every `to_json()` (see
+//! DESIGN.md, "Static analysis & invariants").
 //!
 //! The structure-aware family L5 `lock-discipline` lives in
 //! [`crate::concurrency`] (facts from [`crate::structure`]); L8 and L10
-//! live in [`crate::effects`] and L11 in [`crate::wire`]. They are
-//! listed here so suppression, `--explain`, and the doc table stay in
-//! one registry.
+//! live in [`crate::effects`]. They are listed here so suppression,
+//! `--explain`, and the doc table stay in one registry.
 
 use crate::source::ScannedFile;
 
@@ -109,7 +109,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "lock-discipline",
     "probe-effect",
     "counter-arith",
-    "wire-drift",
 ];
 
 /// One registry entry backing `cargo xtask lint --explain <rule>` and
@@ -190,21 +189,6 @@ pub const RULES: &[RuleInfo] = &[
                  use `saturating_*`/`checked_*` arithmetic on them, and justify bounded sites \
                  with `// aimq-arith: allow -- <invariant>`. Shared atomic counters are \
                  `aimq_catalog::Counter`, whose `add` already saturates.",
-    },
-    RuleInfo {
-        id: "wire-drift",
-        summary: "stale `results/WIRE_SCHEMA.json`, duplicate keys in one JSON object \
-                  literal, and keys emitted under conditionals without an \
-                  `aimq-wire: optional` annotation",
-        rationale: "clients of the HTTP front door parse the JSON the `to_json()` impls \
-                    emit; a renamed key, a duplicated key whose survivor is an accident of \
-                    construction order, or a key that silently disappears in one match arm \
-                    all compile clean — the pinned schema inventory turns each into a lint \
-                    failure with a reviewable diff.",
-        remedy: "regenerate the inventory with `cargo xtask pin --write` (or `wire \
-                 --write`) and commit the diff; rename/remove duplicate keys; annotate \
-                 intentionally conditional keys with `// aimq-wire: optional -- <when \
-                 clients see the key absent>`.",
     },
     RuleInfo {
         id: "lint-allow",

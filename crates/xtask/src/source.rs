@@ -9,7 +9,7 @@
 
 /// Classification of every source byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ByteClass {
+enum ByteClass {
     /// Compiled code (incl. whitespace between tokens).
     Code,
     /// Any comment form.
@@ -38,8 +38,6 @@ pub struct Token {
 pub struct ScannedFile {
     /// Raw source text.
     pub text: String,
-    /// Per-byte classification, same length as `text`.
-    pub classes: Vec<ByteClass>,
     /// Code tokens in order.
     pub tokens: Vec<Token>,
     /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items.
@@ -52,8 +50,6 @@ pub struct ScannedFile {
     pub probe_directives: Vec<ProbeDirective>,
     /// Parsed `aimq-arith:` annotations (L10 counter arithmetic).
     pub arith_directives: Vec<ArithDirective>,
-    /// Parsed `aimq-wire: optional` annotations (L11 wire drift).
-    pub wire_directives: Vec<WireDirective>,
     /// Malformed directives (missing justification, bad syntax).
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -113,24 +109,6 @@ pub struct ProbeDirective {
     pub justification: String,
 }
 
-/// A parsed `// aimq-wire: optional -- justification` annotation (L11).
-///
-/// Marks a JSON key that is emitted only under a conditional (a match
-/// arm or `if` branch inside a `to_json()` body) as *intentionally*
-/// optional on the wire; the justification must say when clients can
-/// expect the key to be absent. The lint errors on conditional keys
-/// without this annotation and on stale annotations whose line no
-/// longer emits a conditional key.
-#[derive(Debug, Clone)]
-pub struct WireDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code (the key literal's line) the annotation covers.
-    pub target_line: usize,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 /// What an `aimq-arith:` annotation asserts (L10 counter arithmetic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithAnnotation {
@@ -162,7 +140,6 @@ const DIRECTIVE: &str = "aimq-lint:";
 const LOCK_DIRECTIVE: &str = "aimq-lock:";
 const PROBE_DIRECTIVE: &str = "aimq-probe:";
 const ARITH_DIRECTIVE: &str = "aimq-arith:";
-const WIRE_DIRECTIVE: &str = "aimq-wire:";
 
 /// Scan `text` into classes, tokens, test regions and suppressions.
 pub fn scan(text: &str) -> ScannedFile {
@@ -172,14 +149,12 @@ pub fn scan(text: &str) -> ScannedFile {
     let directives = collect_directives(text, &classes);
     ScannedFile {
         text: text.to_string(),
-        classes,
         tokens,
         test_regions,
         allows: directives.allows,
         lock_directives: directives.locks,
         probe_directives: directives.probes,
         arith_directives: directives.ariths,
-        wire_directives: directives.wires,
         bad_directives: directives.bad,
     }
 }
@@ -477,7 +452,6 @@ struct Directives {
     locks: Vec<LockDirective>,
     probes: Vec<ProbeDirective>,
     ariths: Vec<ArithDirective>,
-    wires: Vec<WireDirective>,
     bad: Vec<(usize, String)>,
 }
 
@@ -487,7 +461,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
         locks: Vec::new(),
         probes: Vec::new(),
         ariths: Vec::new(),
-        wires: Vec::new(),
         bad: Vec::new(),
     };
     let mut offset = 0usize;
@@ -568,16 +541,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
                     line,
                     target_line: target_of(idx),
                     annotation,
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
-        } else if let Some(pos) = comment.find(WIRE_DIRECTIVE) {
-            let body = comment[pos + WIRE_DIRECTIVE.len()..].trim();
-            match parse_wire(body) {
-                Ok(justification) => out.wires.push(WireDirective {
-                    line,
-                    target_line: target_of(idx),
                     justification,
                 }),
                 Err(msg) => out.bad.push((line, msg)),
@@ -676,22 +639,6 @@ fn parse_probe(body: &str) -> Result<String, String> {
         return Err(format!(
             "probing entry point requires a justification: \
              `{PROBE_DIRECTIVE} entry -- <where budget/degradation accounting lives>`"
-        ));
-    }
-    Ok(justification.to_string())
-}
-
-/// Parse `optional -- justification`.
-fn parse_wire(body: &str) -> Result<String, String> {
-    let tail = body
-        .strip_prefix("optional")
-        .ok_or_else(|| format!("expected `optional` after `{WIRE_DIRECTIVE}`"))?
-        .trim();
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(format!(
-            "optional wire key requires a justification: \
-             `{WIRE_DIRECTIVE} optional -- <when clients see the key absent>`"
         ));
     }
     Ok(justification.to_string())
@@ -851,25 +798,5 @@ mod tests {
         assert_eq!(unknown.bad_directives.len(), 1);
         let bare = scan("x += 1; // aimq-arith: allow");
         assert_eq!(bare.bad_directives.len(), 1);
-    }
-
-    #[test]
-    fn wire_optional_directive_parses_and_targets_the_key_line() {
-        let src =
-            "// aimq-wire: optional -- only on relaxed answers\n(\"base_index\", Json::Num(i)),";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.wire_directives.len(), 1);
-        assert_eq!(f.wire_directives[0].target_line, 2);
-        let trailing = scan("(\"kind\", Json::Str(s)), // aimq-wire: optional -- arm-specific");
-        assert_eq!(trailing.wire_directives[0].target_line, 1);
-    }
-
-    #[test]
-    fn wire_directive_requires_keyword_and_justification() {
-        let bare = scan("// aimq-wire: optional\n(\"k\", Json::Null),");
-        assert_eq!(bare.bad_directives.len(), 1);
-        let wrong = scan("// aimq-wire: maybe -- nope\n(\"k\", Json::Null),");
-        assert_eq!(wrong.bad_directives.len(), 1);
     }
 }

@@ -221,19 +221,17 @@ fn find_fields(file: &ScannedFile, types: &[&str]) -> Vec<(String, usize, usize)
     out
 }
 
-/// A function's name plus the token span of its brace-matched body —
-/// shared with the wire-contract (`wire`) pass, which walks bodies on
-/// its own terms.
-pub(crate) struct FnSpan {
-    pub(crate) name: String,
-    pub(crate) line: usize,
+/// A function's name plus the token span of its brace-matched body.
+struct FnSpan {
+    name: String,
+    line: usize,
     /// Token index of the body `{`.
-    pub(crate) body_start: usize,
+    body_start: usize,
     /// Token index one past the matching `}`.
-    pub(crate) body_end: usize,
+    body_end: usize,
 }
 
-pub(crate) fn find_functions(toks: &[Token]) -> Vec<FnSpan> {
+fn find_functions(toks: &[Token]) -> Vec<FnSpan> {
     let mut out = Vec::new();
     let mut k = 0;
     while k < toks.len() {

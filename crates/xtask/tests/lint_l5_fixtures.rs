@@ -85,8 +85,8 @@ fn l5_probe_suppressed_twin_is_clean() {
 fn json_report_round_trips_into_ci_annotations() {
     // The same path CI takes: lint --json, parse, emit ::error lines.
     let report = lint("l5_cycle");
-    let encoded = xtask::json::to_json(&report);
-    let doc = xtask::json::parse(&encoded).expect("lint JSON parses back");
+    let encoded = report.to_json().to_string_compact();
+    let doc = aimq_catalog::Json::parse(&encoded).expect("lint JSON parses back");
     let annotations = xtask::json::annotations(&doc).expect("annotations render");
     assert_eq!(
         annotations

@@ -45,7 +45,7 @@ const LAYERS: &[(&str, &[&str])] = &[
             "catalog", "storage", "data", "afd", "sim", "rock", "core", "serve", "http", "eval",
         ],
     ),
-    ("xtask", &[]),
+    ("xtask", &["catalog"]),
 ];
 
 /// Crate directory of an aimq package: `aimq` lives in `core`, every

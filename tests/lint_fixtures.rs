@@ -96,25 +96,6 @@ fn real_workspace_is_lint_clean() {
 }
 
 #[test]
-fn checked_in_wire_schema_inventory_is_current() {
-    // `results/WIRE_SCHEMA.json` is the reviewed wire contract; a new
-    // or renamed JSON key must show up in the diff of that file, never
-    // slide onto the wire silently. Regenerate with
-    // `cargo xtask pin --write` (or `wire --write`).
-    let rendered =
-        xtask::wire_inventory(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("scan workspace");
-    let checked_in = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("results/WIRE_SCHEMA.json"),
-    )
-    .expect("results/WIRE_SCHEMA.json exists");
-    assert_eq!(
-        checked_in, rendered,
-        "wire schema drifted; regenerate with `cargo xtask pin --write` \
-         and review the diff"
-    );
-}
-
-#[test]
 fn probe_free_crates_have_empty_probing_sets() {
     // The L8 fixpoint is the proof: `afd`, `sim`, `rock` and `catalog`
     // are pure in-memory layers, and no function in them may reach
@@ -140,7 +121,7 @@ fn probe_free_crates_have_empty_probing_sets() {
 fn checked_in_probe_entrypoint_list_is_current() {
     // `results/PROBE_ENTRYPOINTS.txt` is the reviewed probing surface;
     // a new probe path must show up in the diff of that file, never
-    // slide in silently. Regenerate with `cargo xtask probes`.
+    // slide in silently. Regenerate with `cargo xtask probes --write`.
     let summary =
         xtask::probe_summary(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("scan workspace");
     let rendered: String = summary
@@ -154,7 +135,7 @@ fn checked_in_probe_entrypoint_list_is_current() {
     .expect("results/PROBE_ENTRYPOINTS.txt exists");
     assert_eq!(
         checked_in, rendered,
-        "probing surface drifted; regenerate with `cargo xtask probes > \
-         results/PROBE_ENTRYPOINTS.txt` and review the diff"
+        "probing surface drifted; regenerate with `cargo xtask probes --write` \
+         and review the diff"
     );
 }
