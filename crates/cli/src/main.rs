@@ -51,7 +51,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         "describe" => describe(&args),
         "mine" => mine(&args),
         "query" => query(&args),
-        "serve-bench" => serve_bench(&args),
         "serve-http" => serve_http(&args),
         "help" | "--help" | "-h" => {
             print_help();
@@ -76,7 +75,6 @@ fn print_help() {
          \x20            [--cache-capacity N] [--no-cache true]\n\
          \x20            [--sources N] [--fault-profile-per-source p0,p1,...]\n\
          \x20            [--replication R] [--hedge-delay T]\n\
-         \x20 aimq serve-bench [--scale full|quick|N] [--seed S]\n\
          \x20 aimq serve-http [--addr A] [--size N] [--seed S] [--workers W]\n\
          \x20            [--queue Q] [--deadline-ticks T] [--tsim X] [--k N]\n\
          \x20            [--once true]\n\n\
@@ -95,11 +93,6 @@ fn print_help() {
          \x20      list (padded with `--faults`), its own resilience stack,\n\
          \x20      and a mirror that absorbs hedged probes after T virtual\n\
          \x20      ticks; the degradation line grows a per-source breakdown\n\
-         SERVE-BENCH: replay a CarDB query log through the concurrent\n\
-         \x20      serving runtime at 1/2/4/8 workers over a shared striped\n\
-         \x20      cache and a simulated source round-trip; reports\n\
-         \x20      throughput, speedup and per-query identity against the\n\
-         \x20      single-threaded engine\n\
          SERVE-HTTP: train on a synthetic CarDB and expose it over HTTP\n\
          \x20      (default 127.0.0.1:7700): POST /indexes/cardb/search,\n\
          \x20      GET /health, GET /stats, GET|PATCH /config. Serves until\n\
@@ -107,33 +100,6 @@ fn print_help() {
          \x20      self-checks /health and one search, then shuts down",
         DEFAULT_CACHE_CAPACITY
     );
-}
-
-/// Run the concurrent-serving throughput ladder (the eval crate's
-/// `serve` experiment) and print its table.
-fn serve_bench(args: &Args) -> Result<(), String> {
-    use aimq_eval::{experiments::serve, Scale};
-    let scale = match args.required("scale").ok().as_deref() {
-        None | Some("full") => Scale::full(),
-        Some("quick") => Scale::quick(),
-        Some(raw) => raw
-            .parse::<usize>()
-            .map(Scale::with_divisor)
-            .map_err(|_| format!("flag --scale has invalid value `{raw}`"))?,
-    };
-    let seed = args.u64_or("seed", 42)?;
-    println!(
-        "serve bench (scale {scale}, seed {seed}); workers {:?}",
-        serve::WORKERS
-    );
-    let result = serve::run(scale, seed);
-    println!("{}", result.render());
-    if !result.all_identical() {
-        return Err("concurrent answers diverged from the single-threaded engine".to_owned());
-    }
-    println!("speedup at 8 workers: {:.2}x", result.speedup(8));
-    println!("{}", result.counters_line());
-    Ok(())
 }
 
 /// Train on a synthetic CarDB and serve it over HTTP until stdin
@@ -591,22 +557,6 @@ mod tests {
     fn unknown_command_is_an_error() {
         let err = run(&argv(&["frobnicate"])).unwrap_err();
         assert!(err.contains("frobnicate"));
-    }
-
-    #[test]
-    fn serve_bench_rejects_a_bad_scale() {
-        let err = run(&argv(&["serve-bench", "--scale", "tiny"])).unwrap_err();
-        assert!(err.contains("--scale"), "{err}");
-    }
-
-    #[test]
-    fn serve_bench_runs_at_a_heavy_divisor() {
-        // Divisor 2000 floors every size (50-tuple CarDB, 3 queries),
-        // so the whole 1/2/4/8 ladder runs in well under a second.
-        assert_eq!(
-            run(&argv(&["serve-bench", "--scale", "2000", "--seed", "5"])),
-            Ok(())
-        );
     }
 
     #[test]

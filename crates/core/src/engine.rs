@@ -292,7 +292,7 @@ impl DegradationReport {
     /// The report as a deterministic [`Json`] object (field order is
     /// declaration order; `sources` embeds each member's
     /// [`SourceHealth::to_json`], `completeness` its `Display` form) —
-    /// shared by the HTTP search/stats routes and `serve-bench`.
+    /// served by the HTTP search route inside each answer set.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

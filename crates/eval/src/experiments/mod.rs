@@ -19,6 +19,5 @@ pub mod fig67;
 pub mod fig8;
 pub mod fig9;
 pub mod postings;
-pub mod serve;
 pub mod table2;
 pub mod table3;

@@ -19,7 +19,6 @@
 //! | Importance-source ablation (extension) | — | [`experiments::ablation`] |
 //! | Fault matrix: degradation under source failures (extension) | — | [`experiments::faults`] |
 //! | Probe economy: dedup + cache vs the seed engine (extension) | — | [`experiments::cache`] |
-//! | Serve bench: concurrent serving throughput ladder (extension) | — | [`experiments::serve`] |
 //! | Federation: recall vs number of failed sources (extension) | — | [`experiments::federation`] |
 //!
 //! Each runner is a pure function of a [`Scale`] (dataset sizes) and a

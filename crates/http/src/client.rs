@@ -1,6 +1,5 @@
 //! A minimal blocking HTTP/1.1 client — enough to drive the front door
-//! from tests, the CLI, and the open-loop load generator without
-//! pulling in a real client stack.
+//! from tests and the CLI without pulling in a real client stack.
 //!
 //! One function, one exchange: [`exchange`] writes a request on an open
 //! stream and reads one `Content-Length`-framed response, so keep-alive

@@ -19,10 +19,7 @@
 //!   thread-per-connection keep-alive loop, and the three-phase
 //!   graceful shutdown (stop accepting → drain connections → shut the
 //!   pool).
-//! - [`client`]: a minimal blocking client for tests, the CLI, and the
-//!   load generator.
-//! - [`load`]: the open-loop load generator that drives the saturation
-//!   benchmark (`aimq-bench`'s `http_load`).
+//! - [`client`]: a minimal blocking client for tests and the CLI.
 //!
 //! This crate deliberately sits *outside* the workspace's wall-clock
 //! lint scope (L4): sockets, wall clocks, and sleeps are its whole
@@ -46,7 +43,6 @@ mod server;
 mod wire;
 
 pub mod client;
-pub mod load;
 
 pub use routes::{dispatch, AppState, HttpStats};
 pub use server::{AimqHttpServer, HttpConfig};

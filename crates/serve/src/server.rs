@@ -322,47 +322,65 @@ mod tests {
 
     #[test]
     fn concurrent_answers_match_the_single_threaded_engine() {
-        let (system, db, queries) = system_and_db();
+        let (system, _, queries) = system_and_db();
+        // The log twice over: the second pass meets a warm shared cache
+        // under contention.
+        let log: Vec<&ImpreciseQuery> = queries.iter().chain(&queries).collect();
+        let n = log.len() as u64;
         // Reference: the plain engine on a cold, separate stack.
         let reference: Vec<AnswerSet> = {
             let cold = InMemoryWebDb::new(CarDb::generate(600, 7));
-            queries
-                .iter()
+            log.iter()
                 .map(|q| system.answer(&cold, q, &EngineConfig::default()))
                 .collect()
         };
 
-        let server = QueryServer::start(
-            Arc::clone(&system),
-            db,
-            ServeConfig {
-                workers: 4,
-                queue_capacity: 16,
-                ..ServeConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|q| server.submit(q.clone()).expect("admitted"))
-            .collect();
-        for (ticket, expected) in tickets.into_iter().zip(&reference) {
-            let got = ticket.wait().expect("served").answer;
-            assert_eq!(got.answers.len(), expected.answers.len());
-            for (g, e) in got.answers.iter().zip(&expected.answers) {
-                assert_eq!(g.tuple, e.tuple);
-                assert_eq!(g.similarity.to_bits(), e.similarity.to_bits());
+        // Worker count and interleaving must never change an answer:
+        // every rung of the ladder gets its own cold striped cache.
+        for workers in [1, 2, 4, 8] {
+            let db: Arc<dyn WebDatabase> = Arc::new(CachedWebDb::with_stripes(
+                InMemoryWebDb::new(CarDb::generate(600, 7)),
+                1024,
+                8,
+            ));
+            let server = QueryServer::start(
+                Arc::clone(&system),
+                db,
+                ServeConfig {
+                    workers,
+                    queue_capacity: log.len(),
+                    ..ServeConfig::default()
+                },
+            );
+            let tickets: Vec<Ticket> = log
+                .iter()
+                .map(|q| server.submit((*q).clone()).expect("admitted"))
+                .collect();
+            for (ticket, expected) in tickets.into_iter().zip(&reference) {
+                let got = ticket.wait().expect("served").answer;
+                assert_eq!(
+                    got.answers.len(),
+                    expected.answers.len(),
+                    "{workers} workers"
+                );
+                for (g, e) in got.answers.iter().zip(&expected.answers) {
+                    assert_eq!(g.tuple, e.tuple, "{workers} workers");
+                    assert_eq!(g.similarity.to_bits(), e.similarity.to_bits());
+                    assert_eq!(g.provenance, e.provenance, "{workers} workers");
+                }
+                assert_eq!(got.base_query, expected.base_query, "{workers} workers");
+                assert_eq!(got.base_set_size, expected.base_set_size);
             }
-            assert_eq!(got.base_query, expected.base_query);
+            let final_stats = server.shutdown();
+            assert_eq!(final_stats.admitted, n, "{final_stats:#?}");
+            assert_eq!(final_stats.completed, n, "{final_stats:#?}");
+            assert_eq!(final_stats.rejected, 0, "{final_stats:#?}");
+            assert_eq!(
+                final_stats.worker_processed.iter().sum::<u64>(),
+                n,
+                "{final_stats:#?}"
+            );
         }
-        let final_stats = server.shutdown();
-        assert_eq!(final_stats.admitted, 4);
-        assert_eq!(final_stats.completed, 4);
-        assert_eq!(final_stats.rejected, 0);
-        assert_eq!(
-            final_stats.worker_processed.iter().sum::<u64>(),
-            4,
-            "{final_stats:#?}"
-        );
     }
 
     #[test]

@@ -129,8 +129,8 @@ impl ServeStats {
 
 impl ServeStatsSnapshot {
     /// The snapshot as a deterministic [`Json`] object (field order is
-    /// declaration order) — the single serialization path shared by the
-    /// HTTP `GET /stats` route and the `serve-bench` report.
+    /// declaration order) — the single serialization path, served by
+    /// the HTTP `GET /stats` route.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

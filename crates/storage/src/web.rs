@@ -163,8 +163,8 @@ impl AccessStats {
     }
 
     /// The meter as a deterministic [`Json`] object — the single
-    /// serialization path shared by the HTTP `/stats` route and the
-    /// `serve-bench` report (field order is declaration order).
+    /// serialization path, served by the HTTP `/stats` route (field
+    /// order is declaration order).
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![

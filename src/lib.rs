@@ -21,7 +21,7 @@
 //! * [`serve`] — concurrent query-serving runtime: worker pool,
 //!   bounded admission queue, per-query deadlines over virtual time;
 //! * [`http`] — the network front door: an HTTP/1.1 server over
-//!   [`serve`], plus a minimal client and an open-loop load generator;
+//!   [`serve`], plus a minimal client;
 //! * [`data`] — seeded synthetic CarDB / CensusDB generators;
 //! * [`eval`] — runners reproducing every table and figure of the
 //!   paper's evaluation.
@@ -87,7 +87,7 @@ pub mod serve {
 }
 
 /// HTTP/1.1 front door over [`serve`]: MeiliDB-shaped routes, typed
-/// error mapping, graceful drain, client and open-loop load generator.
+/// error mapping, graceful drain and a minimal client.
 pub mod http {
     pub use aimq_http::*;
 }

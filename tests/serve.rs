@@ -4,10 +4,13 @@
 //!    offering W + K + M queries admits exactly W + K and rejects
 //!    exactly M with a typed `Overloaded`; nothing is silently dropped,
 //!    and after the gate lifts every admitted query is served;
-//! 2. **deadline pinning** — a query that exhausts its probe-tick
+//! 2. **wait overlap** — with W workers and W queries, W source probes
+//!    are in flight at once, one per worker (pinned on a gate, not
+//!    timed), so a latency-bound source serves W-fold throughput;
+//! 3. **deadline pinning** — a query that exhausts its probe-tick
 //!    budget returns `DeadlineExceeded` carrying the engine's partial
 //!    answer and a populated `DegradationReport`;
-//! 3. **concurrent = serial** — N worker threads replaying shuffled
+//! 4. **concurrent = serial** — N worker threads replaying shuffled
 //!    slices of a query log through one shared striped `CachedWebDb`
 //!    produce byte-identical per-query answers to a serial replay, and
 //!    (property-tested) this holds across fault profiles when the fault
@@ -16,6 +19,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use aimq_suite::catalog::{ImpreciseQuery, Schema, SelectionQuery};
 use aimq_suite::data::CarDb;
@@ -107,9 +111,17 @@ impl GatedWebDb {
         self.bell.notify_all();
     }
 
-    /// Spin until `n` probes are parked on the gate.
+    /// Spin until `n` probes are parked on the gate. Gives up after
+    /// ten seconds: the gate opens (so the server can still drain) and
+    /// the test fails instead of hanging.
     fn await_waiters(&self, n: usize) {
+        let give_up = Instant::now() + Duration::from_secs(10);
         while self.waiting.load(Ordering::Acquire) < n {
+            if Instant::now() > give_up {
+                let parked = self.waiting.load(Ordering::Acquire);
+                self.open_gate();
+                panic!("only {parked} of {n} probes ever parked on the gate");
+            }
             std::thread::yield_now();
         }
     }
@@ -191,6 +203,42 @@ fn overload_rejects_exactly_the_excess_and_drops_nothing() {
     assert_eq!(stats.admitted, (WORKERS + CAPACITY) as u64);
     assert_eq!(stats.rejected, EXCESS as u64);
     assert_eq!(stats.completed, (WORKERS + CAPACITY) as u64);
+}
+
+#[test]
+fn every_worker_holds_a_source_probe_in_flight_at_once() {
+    // On a latency-bound source, throughput scales with the number of
+    // probes waiting at once. Pin that count instead of timing it: with
+    // W workers and W queries, W probes must park on the gate together,
+    // one per worker.
+    let h = harness();
+    for workers in [1, 2, 4, 8] {
+        let gated = Arc::new(GatedWebDb::new(InMemoryWebDb::new(h.relation.clone())));
+        let server = QueryServer::start(
+            Arc::clone(&h.system),
+            Arc::clone(&gated) as Arc<dyn WebDatabase>,
+            ServeConfig {
+                workers,
+                queue_capacity: workers,
+                engine: config(),
+                ..ServeConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = h
+            .queries
+            .iter()
+            .cycle()
+            .take(workers)
+            .map(|q| server.submit(q.clone()).expect("admitted"))
+            .collect();
+        gated.await_waiters(workers);
+        gated.open_gate();
+        for t in tickets {
+            assert!(t.wait().is_ok(), "{workers} workers");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.worker_processed, vec![1; workers], "{stats:#?}");
+    }
 }
 
 #[test]

@@ -21,7 +21,6 @@ use aimq_suite::catalog::{AttrId, Json, Predicate, Schema, SelectionQuery, Tuple
 use aimq_suite::engine::{
     AnswerSet, Completeness, DegradationReport, EngineConfig, Provenance, RankedAnswer, WorkStats,
 };
-use aimq_suite::http::load::LoadReport;
 use aimq_suite::http::HttpStats;
 use aimq_suite::serve::ServeStatsSnapshot;
 use aimq_suite::storage::{AccessStats, SourceHealth};
@@ -293,29 +292,6 @@ fn samples() -> Vec<Sample> {
         "fresh",
         HttpStats::default().to_json(),
     ));
-    out.push(sample(
-        "crates/http/src/load.rs",
-        "LoadReport",
-        "run",
-        LoadReport {
-            offered_rate: 400.0,
-            requests: 2000,
-            completed_2xx: 1990,
-            rejected_429: 6,
-            other_4xx: 0,
-            responses_5xx: 0,
-            transport_errors: 4,
-            elapsed_secs: 5.0625,
-            achieved_2xx_rate: 393.08,
-            latency_hist_us: vec![0, 0, 3, 1987],
-            p50_us: 1800,
-            p90_us: 4200,
-            p99_us: 22000,
-            max_us: 48000,
-        }
-        .to_json(),
-    ));
-
     out.push(sample(
         "crates/storage/src/web.rs",
         "AccessStats",
