@@ -401,7 +401,7 @@ impl<'a> Parser<'a> {
                     if !(0xDC00..0xE000).contains(&lo) {
                         return Err(self.err("invalid low surrogate"));
                     }
-                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    surrogate_pair(hi, lo)
                 } else if (0xDC00..0xE000).contains(&hi) {
                     return Err(self.err("unpaired surrogate"));
                 } else {
@@ -472,6 +472,16 @@ impl<'a> Parser<'a> {
         }
         Ok(Json::Num(n))
     }
+}
+
+/// The code point a UTF-16 surrogate pair encodes.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "the caller range-checks hi to 0xD800..0xDC00 and lo to 0xDC00..0xE000, \
+              so no step wraps and the result is at most 0x10FFFF"
+)]
+fn surrogate_pair(hi: u32, lo: u32) -> u32 {
+    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
     clippy::unimplemented
 )]
 #![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![allow(
     clippy::wildcard_enum_match_arm,
     clippy::match_wildcard_for_single_variants,

@@ -109,7 +109,8 @@ pub(crate) fn derive_base_set_memoized(
             Err(error) => {
                 report.note_failure(error);
                 if report.source_lost {
-                    report.probes_skipped += (steps.len() - step_index - 1) as u64;
+                    let unprobed = steps.len().saturating_sub(step_index).saturating_sub(1);
+                    report.probes_skipped = report.probes_skipped.saturating_add(unprobed as u64);
                     return (base, Vec::new());
                 }
             }

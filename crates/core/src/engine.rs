@@ -273,20 +273,27 @@ impl DegradationReport {
     /// Record one engine-visible probe outcome (shared by the base-query
     /// derivation and the relaxation loop).
     pub(crate) fn note_attempt(&mut self) {
-        self.probes_attempted += 1;
+        self.probes_attempted = self.probes_attempted.saturating_add(1);
     }
 
     /// Record a failed probe; flags `source_lost` on terminal errors.
     pub(crate) fn note_failure(&mut self, error: QueryError) {
-        self.probes_failed += 1;
+        self.probes_failed = self.probes_failed.saturating_add(1);
         if !error.is_retryable() {
             self.source_lost = true;
         }
     }
 
+    /// Record relaxation steps dropped unprobed, and the distinct
+    /// levels they span.
+    pub(crate) fn note_skipped(&mut self, steps: &[RelaxationStep]) {
+        self.probes_skipped = self.probes_skipped.saturating_add(steps.len() as u64);
+        self.levels_abandoned = self.levels_abandoned.saturating_add(distinct_levels(steps));
+    }
+
     /// Record a clipped result page.
     pub(crate) fn note_truncated(&mut self) {
-        self.truncated_pages += 1;
+        self.truncated_pages = self.truncated_pages.saturating_add(1);
     }
 
     /// The report as a deterministic [`Json`] object (field order is
@@ -653,7 +660,7 @@ pub fn answer_imprecise_query(
                 continue;
             }
             let page = if let Some(page) = memo.replay(key) {
-                degradation.probes_deduped += 1;
+                degradation.probes_deduped = degradation.probes_deduped.saturating_add(1);
                 page
             } else {
                 degradation.note_attempt();
@@ -678,10 +685,13 @@ pub fn answer_imprecise_query(
                         if degradation.source_lost {
                             // Account the rest of this tuple's plan, then
                             // fall to the outer abandonment bookkeeping.
+                            #[expect(
+                                clippy::arithmetic_side_effects,
+                                reason = "step_index < plan.len(), so step_index + 1 cannot wrap"
+                            )]
                             let remaining = &plan[step_index + 1..]; // aimq-lint: allow(indexing) -- step_index < plan.len(): probes and plan are 1:1 by compile_probes
-                            degradation.probes_skipped += remaining.len() as u64;
-                            degradation.levels_abandoned += distinct_levels(remaining);
-                            abandoned_at = Some(base_index + 1);
+                            degradation.note_skipped(remaining);
+                            abandoned_at = Some(base_index.saturating_add(1));
                             break 'outer;
                         }
                         continue;
@@ -703,7 +713,7 @@ pub fn answer_imprecise_query(
                     ));
                     if config
                         .target_relevant
-                        .is_some_and(|target| extended.len() - base_count >= target)
+                        .is_some_and(|target| extended.len().saturating_sub(base_count) >= target)
                     {
                         break 'outer;
                     }
@@ -719,8 +729,7 @@ pub fn answer_imprecise_query(
             let bound = t.bound_attrs();
             let mut plan = strategy.plan(&bound, config.max_relax_level);
             plan.truncate(config.max_steps_per_tuple);
-            degradation.probes_skipped += plan.len() as u64;
-            degradation.levels_abandoned += distinct_levels(&plan);
+            degradation.note_skipped(&plan);
         }
     }
 

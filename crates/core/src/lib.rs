@@ -8,6 +8,7 @@
     clippy::unimplemented
 )]
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 //! # aimq
 //!

@@ -173,6 +173,10 @@ impl RelaxationStrategy for RandomRelax {
 /// (that step would match the whole database), so the last level is
 /// capped at `len - 1` unless only one attribute is bound.
 fn levels(order: &[AttrId], max_level: usize) -> Vec<Vec<AttrId>> {
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "order.len() > 1 in the branch that subtracts 1"
+    )]
     let cap = if order.len() > 1 {
         max_level.min(order.len() - 1)
     } else {

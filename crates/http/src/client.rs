@@ -66,6 +66,10 @@ pub fn request(
 fn read_reply(stream: &mut TcpStream) -> io::Result<Reply> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a 4-byte window matched at pos, so pos + 4 <= buf.len()"
+    )]
     let head_len = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos + 4;

@@ -24,8 +24,8 @@
 //! This crate deliberately sits *outside* the workspace's wall-clock
 //! lint scope (L4): sockets, wall clocks, and sleeps are its whole
 //! job. The panic-freedom lints and the type ban (hash containers, raw
-//! atomics) are denied below, and the xtask lock and effect rules (L5,
-//! L8, L10) apply in full.
+//! atomics) and `arithmetic_side_effects` are denied below, and the
+//! xtask lock and effect rules (L5, L8) apply in full.
 
 #![warn(missing_docs)]
 #![deny(
@@ -37,6 +37,7 @@
     clippy::unimplemented
 )]
 #![deny(clippy::disallowed_types)]
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 mod routes;
 mod server;

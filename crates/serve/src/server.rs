@@ -124,7 +124,7 @@ impl QueryServer {
         // Backpressure bound: admitted work is either queued or on a
         // worker; beyond queue + workers there is nowhere for it to go
         // but a growing backlog, so it is rejected instead.
-        let backlog = Backlog::new(config.queue_capacity.max(1) + workers);
+        let backlog = Backlog::new(config.queue_capacity.max(1).saturating_add(workers));
         let engine_config = Arc::new(Mutex::new(config.engine));
         let handles = (0..workers)
             .map(|worker_id| {
@@ -412,6 +412,25 @@ mod tests {
         let final_stats = server.shutdown();
         assert_eq!(final_stats.deadline_missed, 1);
         assert_eq!(final_stats.completed, 0);
+    }
+
+    #[test]
+    fn an_unbounded_queue_capacity_saturates_the_backlog() {
+        // `--queue 18446744073709551615`: queue plus workers saturates
+        // instead of wrapping to a backlog of a few slots.
+        let (system, db, queries) = system_and_db();
+        let server = QueryServer::start(
+            system,
+            db,
+            ServeConfig {
+                workers: 2,
+                queue_capacity: usize::MAX,
+                ..ServeConfig::default()
+            },
+        );
+        let q = queries.first().expect("queries").clone();
+        assert!(server.submit(q).expect("admitted").wait().is_ok());
+        assert_eq!(server.shutdown().completed, 1);
     }
 
     #[test]

@@ -169,6 +169,10 @@ impl ServeStatsSnapshot {
 
 /// Histogram bucket for a tick count: 0 → 0, otherwise
 /// `floor(log2(ticks)) + 1`, saturating at the last bucket.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "leading_zeros() <= 64, so the subtraction cannot underflow"
+)]
 fn bucket_for(ticks: u64) -> usize {
     if ticks == 0 {
         0

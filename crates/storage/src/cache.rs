@@ -31,11 +31,9 @@ struct CacheState {
     /// the sequence of *misses*, never on hit timing, which keeps replayed
     /// runs byte-identical even if an observer probes the cache.
     order: VecDeque<SelectionQuery>,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
+    // Monotone event tallies, summed across stripes by `stats`.
     hits: u64,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
     misses: u64,
-    // aimq-arith: counter -- monotone event tally, summed across stripes
     evictions: u64,
 }
 
@@ -177,6 +175,10 @@ impl<D: WebDatabase> CachedWebDb<D> {
     }
 
     /// Index of the stripe responsible for a canonical `key`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the divisor is at least 1, and the remainder is below the stripe count"
+    )]
     fn stripe_index(&self, key: &SelectionQuery) -> usize {
         let n = self.stripes.len() as u64;
         (key.stable_hash() % n.max(1)) as usize
@@ -256,7 +258,7 @@ impl<D: WebDatabase> CachedWebDb<D> {
         out: &mut Vec<Result<QueryPage, QueryError>>,
     ) -> (usize, Vec<Miss<'q>>) {
         let mut misses: Vec<Miss<'q>> = Vec::new();
-        let mut consumed = 0;
+        let mut consumed = 0usize;
         for query in plan {
             let key = canonical_key(query);
             if misses.iter().any(|m| m.key == key) {
@@ -268,7 +270,7 @@ impl<D: WebDatabase> CachedWebDb<D> {
                 Lookup::Miss => misses.push(Miss { stripe, key, query }),
                 Lookup::Evictable => break,
             }
-            consumed += 1;
+            consumed = consumed.saturating_add(1);
         }
         (consumed, misses)
     }

@@ -153,7 +153,7 @@ pub fn read_csv<R: BufRead>(schema: &Schema, input: R) -> Result<Relation, CsvEr
 
     let mut builder: RelationBuilder = Relation::builder(schema.clone());
     for (i, line) in lines.enumerate() {
-        let line_no = i + 2; // 1-based, after the header
+        let line_no = i.saturating_add(2); // 1-based, after the header
         let line = line?;
         if line.is_empty() {
             continue;

@@ -117,6 +117,12 @@ impl FacetTree {
     /// Decomposition invariant: every position in the range is covered by
     /// exactly one contributed node or edge entry, so the merged output
     /// is an exact, duplicate-free row set.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "positions stay below twice the index length: `pos` < `end` <= len, a node \
+                  is taken only when `pos + span <= end`, `bucket` <= `pos` unless `pos` is 0, \
+                  `level` < `levels.len()`, and `span` >= `bucket` >= 1"
+    )]
     pub fn rows_in_positions(&self, start: usize, end: usize) -> Vec<RowId> {
         let n = self.rows_by_position.len();
         let start = start.min(n);

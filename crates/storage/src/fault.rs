@@ -237,13 +237,17 @@ impl<D: WebDatabase> FaultInjectingWebDb<D> {
         // field-by-field below.
         let state = &mut *state;
         let ordinal = state.calls;
-        state.calls += 1;
+        state.calls = state.calls.saturating_add(1);
 
         if self.mode == FaultMode::Sequenced {
             if let Some(window) = self.profile.rate_limit {
-                let cycle = window.period + window.burst;
-                if window.burst > 0 && cycle > 0 && ordinal % cycle >= window.period {
-                    state.injected_failures += 1;
+                let cycle = window.period.saturating_add(window.burst);
+                if window.burst > 0
+                    && ordinal
+                        .checked_rem(cycle)
+                        .is_some_and(|phase| phase >= window.period)
+                {
+                    state.injected_failures = state.injected_failures.saturating_add(1);
                     return Err(QueryError::RateLimited {
                         retry_after: window.retry_after,
                     });
@@ -268,17 +272,17 @@ impl<D: WebDatabase> FaultInjectingWebDb<D> {
         let u: f64 = rng.random();
         let mut edge = self.profile.unavailable_probability;
         if u < edge {
-            state.injected_failures += 1;
+            state.injected_failures = state.injected_failures.saturating_add(1);
             return Err(QueryError::Unavailable);
         }
         edge += self.profile.timeout_probability;
         if u < edge {
-            state.injected_failures += 1;
+            state.injected_failures = state.injected_failures.saturating_add(1);
             return Err(QueryError::Timeout);
         }
         edge += self.profile.transient_probability;
         if u < edge {
-            state.injected_failures += 1;
+            state.injected_failures = state.injected_failures.saturating_add(1);
             return Err(QueryError::Transient);
         }
 
@@ -303,12 +307,12 @@ impl<D: WebDatabase> WebDatabase for FaultInjectingWebDb<D> {
         let mut page = self.inner.try_query(query)?;
         if let Some(max_tuples) = clip {
             if page.tuples.len() > max_tuples {
-                let clipped = (page.tuples.len() - max_tuples) as u64;
+                let clipped = page.tuples.len().saturating_sub(max_tuples) as u64;
                 page.tuples.truncate(max_tuples);
                 page.truncated = true;
                 let mut state = lock_stats(&self.state);
-                state.injected_truncations += 1;
-                state.clipped_tuples += clipped;
+                state.injected_truncations = state.injected_truncations.saturating_add(1);
+                state.clipped_tuples = state.clipped_tuples.saturating_add(clipped);
             }
         }
         Ok(page)
@@ -320,10 +324,12 @@ impl<D: WebDatabase> WebDatabase for FaultInjectingWebDb<D> {
         AccessStats {
             // Injected failures never reach the inner meter, but the
             // query *was* attempted against the (simulated) source.
-            queries_issued: inner.queries_issued + state.injected_failures,
+            queries_issued: inner.queries_issued.saturating_add(state.injected_failures),
             tuples_returned: inner.tuples_returned.saturating_sub(state.clipped_tuples),
-            failures: inner.failures + state.injected_failures,
-            truncated_queries: inner.truncated_queries + state.injected_truncations,
+            failures: inner.failures.saturating_add(state.injected_failures),
+            truncated_queries: inner
+                .truncated_queries
+                .saturating_add(state.injected_truncations),
             ..inner
         }
     }

@@ -224,20 +224,15 @@ pub struct SourceHealth {
     /// Member name (stable across snapshots).
     pub name: String,
     /// Scatter probes issued to this member (hedge re-probes excluded).
-    // aimq-arith: counter -- monotone event tally
     pub probes_attempted: u64,
     /// Scatter probes that surfaced a failure after the member's own
     /// retries and breaker.
-    // aimq-arith: counter -- monotone event tally
     pub probes_failed: u64,
     /// Distinct merged tuples this member was the first to return.
-    // aimq-arith: counter -- monotone event tally
     pub tuples_contributed: u64,
     /// Hedge probes fired because this member straggled or failed.
-    // aimq-arith: counter -- monotone event tally
     pub hedges_fired: u64,
     /// Hedge probes fired for this member whose mirror returned a page.
-    // aimq-arith: counter -- monotone event tally
     pub hedges_won: u64,
     /// Whether the member's circuit breaker was open at snapshot time.
     pub breaker_open: bool,
@@ -417,6 +412,10 @@ impl FederatedWebDb {
         for (i, spec) in specs.iter().enumerate() {
             // Member i's rows: fragment ids within `replication` wrapping
             // steps of i.
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "n > 0, i < n and r % n < n, so the ring offset stays below 2n"
+            )]
             let tuples: Vec<Tuple> = relation
                 .rows()
                 .filter(|&r| (r as usize % n + n - i) % n < replication)
@@ -457,6 +456,10 @@ impl FederatedWebDb {
                 mapping,
                 breaker_probe: Some(Box::new(move || breaker_view.breaker_open())),
             });
+            #[expect(
+                clippy::arithmetic_side_effects,
+                reason = "i < n, so i + n - 1 stays below 2n and n > 0 is the divisor"
+            )]
             mirrors.push((replication >= 2 && n >= 2).then(|| (i + n - 1) % n));
         }
         FederatedWebDb::new(schema, sources, mirrors, policy, clock)
@@ -634,7 +637,7 @@ impl WebDatabase for FederatedWebDb {
             });
             match outcome {
                 Ok(page) => {
-                    successes += 1;
+                    successes = successes.saturating_add(1);
                     truncated |= page.truncated;
                     self.merge_page(i, page, &mut seen, &mut merged);
                     // Straggler hedge: the member answered, but only
@@ -655,7 +658,7 @@ impl WebDatabase for FederatedWebDb {
                     if rescued {
                         // The mirror covered member i's primary fragment;
                         // the scatter still counts it toward the quorum.
-                        successes += 1;
+                        successes = successes.saturating_add(1);
                     } else {
                         // Fragment potentially missing from the merge.
                         truncated = true;

@@ -53,6 +53,10 @@ pub fn intersect_gallop(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
         // Gallop: double the probe width until the window's last element
         // reaches `x` (or the list ends), then binary-search the window.
         let mut width = 1usize;
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "width starts at 1 and only doubles, so width - 1 cannot underflow"
+        )]
         while rest.get(width - 1).is_some_and(|&y| y < x) {
             width <<= 1;
         }
@@ -86,6 +90,10 @@ pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
         if out.last() != Some(&row) {
             out.push(row);
         }
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a cursor stays at most its list's length, so c + 1 cannot wrap"
+        )]
         let next = cursors.get(i).map_or(0, |&c| c + 1);
         if let Some(cursor) = cursors.get_mut(i) {
             *cursor = next;
@@ -105,21 +113,16 @@ pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Queries evaluated through [`PlanExecutor::execute`].
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub queries_executed: u64,
     /// Per-attribute terms materialized into posting lists (term-memo
     /// misses).
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub terms_evaluated: u64,
     /// Terms answered by the term memo without re-evaluation.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub term_memo_hits: u64,
     /// Pairwise intersections actually computed (prefix-memo misses).
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub intersections_computed: u64,
     /// Fold prefixes answered by the shared-prefix memo — subexpressions
     /// (including whole queries) this plan did *not* re-evaluate.
-    // aimq-arith: counter -- sharing meter, read by tests/benches only
     pub prefix_memo_hits: u64,
 }
 
@@ -211,8 +214,9 @@ impl<'a> PlanExecutor<'a> {
                                 self.arena.get(acc).map_or(&[], Vec::as_slice),
                                 self.arena.get(term).map_or(&[], Vec::as_slice),
                             );
+                            let idx = self.arena.len();
                             self.arena.push(merged);
-                            self.arena.len() - 1
+                            idx
                         }
                     };
                     self.prefixes.insert(prefix.clone(), idx);
@@ -235,8 +239,8 @@ impl<'a> PlanExecutor<'a> {
         }
         self.stats.terms_evaluated = self.stats.terms_evaluated.saturating_add(1);
         let rows = evaluate_term(self.relation, &group);
+        let idx = self.arena.len();
         self.arena.push(rows);
-        let idx = self.arena.len() - 1;
         self.terms.insert(group, idx);
         idx
     }

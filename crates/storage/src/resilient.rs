@@ -89,27 +89,23 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceReport {
     /// Failed attempts that were re-issued.
-    // aimq-arith: counter -- monotone event tally; compared against the probe budget
     pub retries: u64,
     /// Closed → open breaker transitions.
-    // aimq-arith: counter -- monotone event tally
     pub breaker_trips: u64,
     /// Half-open trial probes that succeeded and closed the breaker.
-    // aimq-arith: counter -- monotone event tally
     pub breaker_recoveries: u64,
     /// Probes rejected without touching the source (open breaker or
     /// exhausted budget).
-    // aimq-arith: counter -- monotone event tally
     pub fast_failures: u64,
     /// Total attempts issued against the inner source.
-    // aimq-arith: counter -- monotone event tally; compared against the probe budget
     pub attempts: u64,
 }
 
 #[derive(Debug)]
 struct ResilientState {
     rng: StdRng,
-    // aimq-arith: counter -- u32 failure streak; with breaker_threshold == 0 it is never reset, so wrap is reachable
+    /// Failure streak. With `breaker_threshold == 0` it is never reset,
+    /// so it must saturate.
     consecutive_failures: u32,
     /// `Some(tick)` while the breaker is open; half-opens at `tick`.
     open_until: Option<u64>,
@@ -203,7 +199,7 @@ impl<D: WebDatabase> ResilientWebDb<D> {
         } else {
             0
         };
-        base + jitter
+        base.saturating_add(jitter)
     }
 
     /// Record a failed attempt; trips the breaker at the threshold. A
@@ -219,7 +215,11 @@ impl<D: WebDatabase> ResilientWebDb<D> {
         if (failed_trial || state.consecutive_failures >= self.policy.breaker_threshold)
             && state.open_until.is_none()
         {
-            state.open_until = Some(self.clock.now() + self.policy.breaker_cooldown);
+            state.open_until = Some(
+                self.clock
+                    .now()
+                    .saturating_add(self.policy.breaker_cooldown),
+            );
             state.report.breaker_trips = state.report.breaker_trips.saturating_add(1);
         }
     }
@@ -278,7 +278,7 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
                     {
                         return Err(error);
                     }
-                    attempt += 1;
+                    attempt = attempt.saturating_add(1);
                     state.report.retries = state.report.retries.saturating_add(1);
                     let wait = self.wait_for(&mut state, attempt, error);
                     drop(state);
@@ -583,6 +583,49 @@ mod tests {
         assert!(db.try_query(&SelectionQuery::all()).is_ok());
         assert_eq!(db.report().breaker_recoveries, 1);
         assert!(!db.breaker_open());
+    }
+
+    #[test]
+    fn a_maximal_rate_limit_hint_saturates_the_wait() {
+        // Every attempt meets a burst whose hint is the largest wait a
+        // source can ask for; a jitter draw on top must not overflow.
+        let profile = FaultProfile {
+            rate_limit: Some(RateLimitWindow {
+                period: 0,
+                burst: 1,
+                retry_after: u64::MAX,
+            }),
+            ..FaultProfile::none()
+        };
+        let inner = FaultInjectingWebDb::new(base_db(), profile, 1);
+        let policy = RetryPolicy {
+            max_retries: 1,
+            max_jitter: 1_000_000,
+            ..RetryPolicy::default()
+        };
+        let db = ResilientWebDb::new(inner, policy);
+        assert_eq!(
+            db.try_query(&SelectionQuery::all()),
+            Err(QueryError::RateLimited {
+                retry_after: u64::MAX
+            })
+        );
+        assert_eq!(db.report().retries, 1);
+        assert_eq!(db.clock().now(), u64::MAX);
+    }
+
+    #[test]
+    fn a_breaker_tripped_at_the_end_of_virtual_time_saturates_its_cooldown() {
+        // With the clock saturated the cooldown cannot run on, so it has
+        // elapsed at once: the next probe is the half-open trial.
+        let db = ResilientWebDb::new(ScriptedDb::failing_first(&[true, true]), half_open_policy());
+        db.clock().advance(u64::MAX);
+        assert!(db.try_query(&SelectionQuery::all()).is_err());
+        assert!(db.try_query(&SelectionQuery::all()).is_err());
+        assert_eq!(db.report().breaker_trips, 1);
+        assert!(!db.breaker_open());
+        assert!(db.try_query(&SelectionQuery::all()).is_ok());
+        assert_eq!(db.report().breaker_recoveries, 1);
     }
 
     #[test]

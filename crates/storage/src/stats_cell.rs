@@ -108,10 +108,12 @@ impl StatsCell {
                 v = self.version.load(Ordering::Relaxed);
                 continue;
             }
-            match self
-                .version
-                .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-            {
+            match self.version.compare_exchange_weak(
+                v,
+                v.wrapping_add(1),
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
                 Ok(_) => {
                     // Pairs with the reader's Acquire fence: a reader
                     // that sees any slot write that follows also sees
@@ -136,7 +138,7 @@ impl StatsCell {
                 slot.fetch_add(d, Ordering::Relaxed);
             }
         }
-        self.version.store(v + 2, Ordering::Release);
+        self.version.store(v.wrapping_add(2), Ordering::Release);
     }
 
     /// Zero every counter (used between experiment runs).
@@ -145,7 +147,7 @@ impl StatsCell {
         for slot in &self.slots {
             slot.store(0, Ordering::Relaxed);
         }
-        self.version.store(v + 2, Ordering::Release);
+        self.version.store(v.wrapping_add(2), Ordering::Release);
     }
 
     /// A coherent snapshot of all counters: retries until it reads a

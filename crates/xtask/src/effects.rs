@@ -1,6 +1,6 @@
-//! L8 `probe-effect` and L10 `counter-arith`.
+//! L8 `probe-effect`.
 //!
-//! **L8** infers, via a boolean reachability fixpoint over the shared
+//! The rule infers, via a boolean reachability fixpoint over the shared
 //! [`crate::callgraph`], the set of functions that can transitively
 //! reach the `WebDatabase::try_query` boundary ("probing" functions).
 //! Three findings follow: a probing path anywhere in the probe-free
@@ -10,21 +10,12 @@
 //! without an `// aimq-probe: entry -- <why>` annotation. Stale
 //! annotations — pointing at a function that no longer probes — are
 //! errors too, so the annotated entry-point list stays exact.
-//!
-//! **L10** audits arithmetic on plain budget/counter/statistic
-//! integers: any field annotated `aimq-arith: counter` becomes
-//! *tracked in its declaring file*, and a plain `+`/`-`/`*`
-//! (or `+=`/`-=`/`*=`) in a statement touching a tracked name is an
-//! error — wrap-around in a release build corrupts budgets silently.
-//! The escape is `// aimq-arith: allow -- <invariant>` on the site.
-//! (Shared atomic counters are `aimq_catalog::Counter`, whose `add`
-//! saturates, so they need no tracking.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, CALLEE_BLOCKLIST};
 use crate::rules::Finding;
-use crate::source::{ArithAnnotation, ScannedFile};
+use crate::source::ScannedFile;
 use crate::structure::{FileAnalysis, BLOCKING_CALLS};
 
 /// Crates that must never reach the probing boundary: mining and
@@ -53,9 +44,6 @@ const ENTRY_HELP: &str =
 const STALE_HELP: &str =
     "remove the stale annotation, or re-point it at the `fn` line that calls `try_query` \
      directly";
-
-const ARITH_HELP: &str = "use `saturating_*`/`checked_*` arithmetic, or justify with \
-     `// aimq-arith: allow -- <invariant bounding the operands>` on the site";
 
 /// One file's inputs to the workspace effects pass.
 pub struct EffectsFile<'a> {
@@ -95,11 +83,10 @@ pub struct EffectsReport {
     pub probing_by_crate: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Run L8 and L10 over the whole workspace.
+/// Run L8 over the whole workspace.
 pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
     let mut report = EffectsReport::default();
 
-    // ---- L8: probe-effect ----
     let graph = CallGraph::build(files.iter().map(|f| f.analysis));
     let targets: BTreeSet<&str> = [PROBE_TARGET].into_iter().collect();
     let probing = graph.reaches_callee(&targets);
@@ -251,11 +238,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
         }
     }
 
-    // ---- L10: counter-arith ----
-    for file in files {
-        check_counter_arith(file, &mut report.findings);
-    }
-
     report
 }
 
@@ -268,139 +250,6 @@ fn line_offsets(text: &str) -> Vec<usize> {
         }
     }
     starts
-}
-
-/// Keywords that can directly precede a `+`/`-`/`*` token without
-/// making it a binary arithmetic operator (`as *const u8`,
-/// `return -x`, ...).
-const NON_BINARY_PREV: &[&str] = &[
-    "as", "return", "in", "break", "if", "while", "match", "else",
-];
-
-fn check_counter_arith(file: &EffectsFile, findings: &mut Vec<(usize, Finding)>) {
-    let toks = &file.scanned.tokens;
-
-    // Tracked names: `aimq-arith: counter` annotated integer fields,
-    // scoped to this (declaring) file.
-    let mut tracked: BTreeSet<String> = BTreeSet::new();
-    for d in &file.scanned.arith_directives {
-        if d.annotation != ArithAnnotation::Counter {
-            continue;
-        }
-        let field = toks.iter().enumerate().find_map(|(i, t)| {
-            (t.line == d.target_line
-                && t.is_ident
-                && toks.get(i + 1).is_some_and(|n| n.text == ":"))
-            .then(|| t.text.clone())
-        });
-        match field {
-            Some(name) => {
-                tracked.insert(name);
-            }
-            None => findings.push((
-                file.idx,
-                Finding {
-                    rule: "counter-arith",
-                    line: d.line,
-                    col: 1,
-                    message: format!(
-                        "`aimq-arith: counter` targets line {}, which declares no field",
-                        d.target_line
-                    ),
-                    help: "place the annotation on (or directly above) the integer field \
-                           declaration it tracks",
-                },
-            )),
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-    let allowed_lines: BTreeSet<usize> = file
-        .scanned
-        .arith_directives
-        .iter()
-        .filter(|d| d.annotation == ArithAnnotation::Allow)
-        .map(|d| d.target_line)
-        .collect();
-
-    // `,` bounds the span too: in struct literals and argument lists
-    // the operator's operands never cross a comma, and without the
-    // bound a tracked field elsewhere in the literal would taint
-    // unrelated arithmetic.
-    let boundary = |text: &str| matches!(text, ";" | "{" | "}" | ",");
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !matches!(t.text.as_str(), "+" | "-" | "*") || file.scanned.in_test_region(t.offset) {
-            continue;
-        }
-        // `->` arrow.
-        if t.text == "-" && toks.get(i + 1).is_some_and(|n| n.text == ">") {
-            continue;
-        }
-        // Binary position: the previous token must be an operand end
-        // (identifier, number, `)`, `]`) and not a keyword that forces
-        // a unary/typing reading. Covers both `a + b` and `a += b`.
-        let Some(prev) = (i > 0).then(|| &toks[i - 1]) else {
-            continue;
-        };
-        let operand_end = prev.text == ")"
-            || prev.text == "]"
-            || prev
-                .text
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !operand_end || NON_BINARY_PREV.contains(&prev.text.as_str()) {
-            continue;
-        }
-        // Statement span around the operator.
-        let mut start = i;
-        while start > 0 && !boundary(&toks[start - 1].text) {
-            start -= 1;
-        }
-        let mut end = i;
-        while end + 1 < toks.len() && !boundary(&toks[end + 1].text) {
-            end += 1;
-        }
-        let span = &toks[start..=end];
-        // Signatures and generic bounds (`T: Add + Copy`) are not
-        // value arithmetic.
-        if span
-            .iter()
-            .any(|s| matches!(s.text.as_str(), "fn" | "impl" | "where" | "dyn"))
-        {
-            continue;
-        }
-        let Some(name) = span
-            .iter()
-            .find(|s| s.is_ident && tracked.contains(&s.text))
-        else {
-            continue;
-        };
-        if allowed_lines.contains(&t.line) {
-            continue;
-        }
-        let op = if toks.get(i + 1).is_some_and(|n| n.text == "=") {
-            format!("{}=", t.text)
-        } else {
-            t.text.clone()
-        };
-        findings.push((
-            file.idx,
-            Finding {
-                rule: "counter-arith",
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "unchecked `{op}` in a statement touching tracked counter `{}` can wrap \
-                     in release builds",
-                    name.text
-                ),
-                help: ARITH_HELP,
-            },
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -504,75 +353,5 @@ mod tests {
                     && m.contains("while holding guard(s) of family `memo`")),
             "{msgs:#?}"
         );
-    }
-
-    #[test]
-    fn tracked_counter_arithmetic_is_flagged_and_saturating_is_not() {
-        let report = run(&[(
-            "serve",
-            "struct Budget {\n\
-             // aimq-arith: counter -- probe budget accounting\n\
-             attempts: u64,\n\
-             }\n\
-             impl Budget {\n\
-             fn bump(&mut self) { self.attempts += 1; }\n\
-             fn project(&self, extra: u64) -> u64 { self.attempts + extra }\n\
-             fn safe(&mut self) { self.attempts = self.attempts.saturating_add(1); }\n\
-             }\n",
-        )]);
-        let bad: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|(_, f)| f.rule == "counter-arith")
-            .collect();
-        assert_eq!(bad.len(), 2, "{bad:#?}");
-        assert!(bad[0].1.message.contains("`+=`"), "{bad:#?}");
-        assert!(bad[1].1.message.contains("`+`"), "{bad:#?}");
-    }
-
-    #[test]
-    fn arith_allow_escape_works() {
-        let report = run(&[(
-            "serve",
-            "struct Stats {\n\
-             // aimq-arith: counter -- monotone tally\n\
-             hits: u64,\n\
-             }\n\
-             fn delta(a: u64, hits: u64) -> u64 {\n\
-             a + hits // aimq-arith: allow -- both operands are snapshot-bounded\n\
-             }\n\
-             fn wraps(a: u64, hits: u64) -> u64 { a * hits }\n",
-        )]);
-        let bad: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|(_, f)| f.rule == "counter-arith")
-            .collect();
-        assert_eq!(bad.len(), 1, "{bad:#?}");
-        assert!(bad[0].1.message.contains("`*`"), "{bad:#?}");
-    }
-
-    #[test]
-    fn test_code_is_exempt_from_l10() {
-        let report = run(&[(
-            "serve",
-            "struct Stats {\n\
-             // aimq-arith: counter -- monotone tally\n\
-             hits: u64,\n\
-             }\n\
-             #[cfg(test)]\n\
-             mod tests {\n\
-             fn t(db: &D, hits: u64) {\n\
-             let _ = db.try_query(q);\n\
-             let x = hits + 1;\n\
-             }\n\
-             }\n",
-        )]);
-        let bad: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|(_, f)| f.rule != "probe-effect")
-            .collect();
-        assert!(bad.is_empty(), "{bad:#?}");
     }
 }

@@ -11,9 +11,11 @@
 //! discipline (`#[must_use]` on the fault enums plus the
 //! `let_underscore_*`, `unused_result_ok` and wildcard-match lints),
 //! atomics (the raw types are banned outside three audited modules;
-//! `aimq_catalog::Counter` and `Flag` fix the orderings), and the HTTP
-//! error surface (the `ErrorCode` enum in `crates/http`, checked
-//! against DESIGN.md by a unit test).
+//! `aimq_catalog::Counter` and `Flag` fix the orderings), counter
+//! arithmetic (`clippy::arithmetic_side_effects`, denied at the roots
+//! of the five crates that meter, budget, serve or parse outside
+//! input), and the HTTP error surface (the `ErrorCode` enum in
+//! `crates/http`, checked against DESIGN.md by a unit test).
 //!
 //! Two token-level rules stay here because clippy's versions would
 //! loosen them:
@@ -27,7 +29,7 @@
 //!   `PartialOrd::partial_cmp` would also fire inside every
 //!   `#[derive(PartialOrd)]`.
 //!
-//! Three more need whole-program or annotation-driven reasoning:
+//! Two more need whole-program or annotation-driven reasoning:
 //!
 //! - **L5 lock-discipline** (the `concurrency` module over facts from
 //!   `structure`): every owned `Mutex` belongs to a named lock family
@@ -41,11 +43,6 @@
 //!   the probe-free crates (`afd`, `sim`, `rock`, `catalog`) and under
 //!   a live lock guard, and direct boundary callers must be annotated
 //!   `// aimq-probe: entry -- <why>` (stale annotations are errors).
-//! - **L10 counter-arith** (`effects`): fields annotated
-//!   `// aimq-arith: counter -- <why>` are tracked in their declaring
-//!   file; plain `+`/`-`/`*` (or compound) arithmetic touching them
-//!   must become `saturating_*`/`checked_*` or carry
-//!   `// aimq-arith: allow -- <invariant>`.
 //!
 //! The JSON wire contract is pinned outside xtask, by rendering it:
 //! `tests/wire_golden.rs` runs every `to_json()` on fixed samples and
@@ -177,9 +174,9 @@ pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
         .collect();
     let mut late: Vec<(usize, Finding)> = concurrency::check_workspace(&conc);
 
-    // Pass 2b: effect-system rules (L8 probe-effect over the shared
-    // call graph, L10 counter-arith) over every crate — bins and eval
-    // included, which the per-file rules skip.
+    // Pass 2b: the effect-system rule (L8 probe-effect over the shared
+    // call graph) over every crate — bins and eval included, which the
+    // per-file rules skip.
     let eff_files: Vec<effects::EffectsFile> = entries
         .iter()
         .enumerate()

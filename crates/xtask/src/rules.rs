@@ -6,19 +6,18 @@
 //! | `float-ordering` | eight library crates | `.partial_cmp(` calls on scores |
 //! | `lock-discipline` | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
 //! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
-//! | `counter-arith` | all aimq crates | unchecked `+`/`-`/`*` arithmetic touching `aimq-arith: counter` fields |
 //! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
 //! Every finding is an error. Panic-freedom, hash containers, the wall
-//! clock, the crate DAG, fault discipline, atomics and the HTTP error
-//! surface are not here: rustc, clippy, Cargo and the type system
-//! enforce them. Nor is the JSON wire contract, which
+//! clock, the crate DAG, fault discipline, atomics, counter arithmetic
+//! and the HTTP error surface are not here: rustc, clippy, Cargo and
+//! the type system enforce them. Nor is the JSON wire contract, which
 //! `tests/wire_golden.rs` pins by rendering every `to_json()` (see
 //! DESIGN.md, "Static analysis & invariants").
 //!
 //! The structure-aware family L5 `lock-discipline` lives in
-//! [`crate::concurrency`] (facts from [`crate::structure`]); L8 and L10
-//! live in [`crate::effects`]. They are listed here so suppression,
+//! [`crate::concurrency`] (facts from [`crate::structure`]); L8 lives
+//! in [`crate::effects`]. They are listed here so suppression,
 //! `--explain`, and the doc table stay in one registry.
 
 use crate::source::ScannedFile;
@@ -108,7 +107,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "float-ordering",
     "lock-discipline",
     "probe-effect",
-    "counter-arith",
 ];
 
 /// One registry entry backing `cargo xtask lint --explain <rule>` and
@@ -176,19 +174,6 @@ pub const RULES: &[RuleInfo] = &[
                  caller with `// aimq-probe: entry -- <where budget accounting lives>`; drop \
                  guards before probing; justify residues with \
                  `// aimq-lint: allow(probe-effect) -- <why>`.",
-    },
-    RuleInfo {
-        id: "counter-arith",
-        summary: "unchecked `+`/`-`/`*` (or compound) arithmetic in statements touching \
-                  tracked budget/counter fields",
-        rationale: "probe budgets, cache capacities, and statistics counters are the units \
-                    the engine's degradation contract is written in; debug builds panic on \
-                    overflow but release builds wrap silently, turning an exhausted budget \
-                    into a fresh one.",
-        remedy: "track plain integer fields with `// aimq-arith: counter -- <what it counts>`, \
-                 use `saturating_*`/`checked_*` arithmetic on them, and justify bounded sites \
-                 with `// aimq-arith: allow -- <invariant>`. Shared atomic counters are \
-                 `aimq_catalog::Counter`, whose `add` already saturates.",
     },
     RuleInfo {
         id: "lint-allow",

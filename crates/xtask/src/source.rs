@@ -48,8 +48,6 @@ pub struct ScannedFile {
     pub lock_directives: Vec<LockDirective>,
     /// Parsed `aimq-probe: entry` annotations (L8 probe effects).
     pub probe_directives: Vec<ProbeDirective>,
-    /// Parsed `aimq-arith:` annotations (L10 counter arithmetic).
-    pub arith_directives: Vec<ArithDirective>,
     /// Malformed directives (missing justification, bad syntax).
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -109,37 +107,9 @@ pub struct ProbeDirective {
     pub justification: String,
 }
 
-/// What an `aimq-arith:` annotation asserts (L10 counter arithmetic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithAnnotation {
-    /// `counter` on a plain-integer field declaration: the field is a
-    /// budget/counter/statistic whose arithmetic must not wrap, so
-    /// every `+`/`-`/`*` touching it needs `saturating_*`/`checked_*`
-    /// (atomic counters are `aimq_catalog::Counter`, which saturates
-    /// on its own).
-    Counter,
-    /// `allow` on an arithmetic site: the stated invariant bounds the
-    /// operands, so plain arithmetic cannot wrap there.
-    Allow,
-}
-
-/// A parsed `// aimq-arith: counter|allow -- justification`.
-#[derive(Debug, Clone)]
-pub struct ArithDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code the annotation applies to (1-based).
-    pub target_line: usize,
-    /// Tracked-field marker or per-site escape.
-    pub annotation: ArithAnnotation,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 const DIRECTIVE: &str = "aimq-lint:";
 const LOCK_DIRECTIVE: &str = "aimq-lock:";
 const PROBE_DIRECTIVE: &str = "aimq-probe:";
-const ARITH_DIRECTIVE: &str = "aimq-arith:";
 
 /// Scan `text` into classes, tokens, test regions and suppressions.
 pub fn scan(text: &str) -> ScannedFile {
@@ -154,7 +124,6 @@ pub fn scan(text: &str) -> ScannedFile {
         allows: directives.allows,
         lock_directives: directives.locks,
         probe_directives: directives.probes,
-        arith_directives: directives.ariths,
         bad_directives: directives.bad,
     }
 }
@@ -451,7 +420,6 @@ struct Directives {
     allows: Vec<AllowDirective>,
     locks: Vec<LockDirective>,
     probes: Vec<ProbeDirective>,
-    ariths: Vec<ArithDirective>,
     bad: Vec<(usize, String)>,
 }
 
@@ -460,7 +428,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
         allows: Vec::new(),
         locks: Vec::new(),
         probes: Vec::new(),
-        ariths: Vec::new(),
         bad: Vec::new(),
     };
     let mut offset = 0usize;
@@ -530,17 +497,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
                 Ok(justification) => out.probes.push(ProbeDirective {
                     line,
                     target_line: target_of(idx),
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
-        } else if let Some(pos) = comment.find(ARITH_DIRECTIVE) {
-            let body = comment[pos + ARITH_DIRECTIVE.len()..].trim();
-            match parse_arith(body) {
-                Ok((annotation, justification)) => out.ariths.push(ArithDirective {
-                    line,
-                    target_line: target_of(idx),
-                    annotation,
                     justification,
                 }),
                 Err(msg) => out.bad.push((line, msg)),
@@ -642,37 +598,6 @@ fn parse_probe(body: &str) -> Result<String, String> {
         ));
     }
     Ok(justification.to_string())
-}
-
-/// Parse `counter -- why` or `allow -- invariant`.
-fn parse_arith(body: &str) -> Result<(ArithAnnotation, String), String> {
-    let (word, tail) = match body.find(|c: char| c.is_ascii_whitespace()) {
-        Some(n) => (&body[..n], body[n..].trim()),
-        None => (body, ""),
-    };
-    let annotation = match word {
-        "counter" => ArithAnnotation::Counter,
-        "allow" => ArithAnnotation::Allow,
-        _ => {
-            return Err(format!(
-                "unknown arith annotation `{word}`: expected `counter` or `allow`"
-            ))
-        }
-    };
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(match annotation {
-            ArithAnnotation::Counter => format!(
-                "tracked-counter annotation requires a justification: \
-                 `{ARITH_DIRECTIVE} counter -- <what this field counts>`"
-            ),
-            ArithAnnotation::Allow => format!(
-                "arith escape requires the bounding invariant: \
-                 `{ARITH_DIRECTIVE} allow -- <why these operands cannot wrap>`"
-            ),
-        });
-    }
-    Ok((annotation, justification.to_string()))
 }
 
 #[cfg(test)]
@@ -777,26 +702,5 @@ mod tests {
         assert_eq!(bare.bad_directives.len(), 1);
         let wrong = scan("// aimq-probe: exit -- nope\nfn probe(&self) {}");
         assert_eq!(wrong.bad_directives.len(), 1);
-    }
-
-    #[test]
-    fn arith_directives_parse_both_kinds() {
-        let src = "// aimq-arith: counter -- probe budget\nattempts: u64,\n\
-                   fn f(&self) { let x = self.attempts + 1; } // aimq-arith: allow -- bounded by budget";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.arith_directives.len(), 2);
-        assert_eq!(f.arith_directives[0].annotation, ArithAnnotation::Counter);
-        assert_eq!(f.arith_directives[0].target_line, 2);
-        assert_eq!(f.arith_directives[1].annotation, ArithAnnotation::Allow);
-        assert_eq!(f.arith_directives[1].target_line, 3);
-    }
-
-    #[test]
-    fn arith_directive_rejects_unknown_kind_and_missing_invariant() {
-        let unknown = scan("// aimq-arith: gauge -- hmm\nx: u64,");
-        assert_eq!(unknown.bad_directives.len(), 1);
-        let bare = scan("x += 1; // aimq-arith: allow");
-        assert_eq!(bare.bad_directives.len(), 1);
     }
 }

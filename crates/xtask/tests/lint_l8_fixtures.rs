@@ -1,8 +1,8 @@
-//! End-to-end runs of the effect-system rules (L8, L10) over
+//! End-to-end runs of the effect-system rule (L8 `probe-effect`) over
 //! workspace-shaped fixture trees under `tests/fixtures/lint/`. Each
 //! violation fixture has a passing twin in which every finding is
-//! either fixed outright or suppressed with a justified escape hatch
-//! (`aimq-lint: allow(...)` / `aimq-arith: allow`).
+//! either fixed outright or suppressed with a justified
+//! `aimq-lint: allow(...)`.
 
 use std::path::{Path, PathBuf};
 
@@ -97,27 +97,12 @@ fn l8_entry_annotated_twin_is_clean() {
 }
 
 #[test]
-fn l10_unchecked_counter_arithmetic_is_detected() {
-    let report = lint("l10_wrap");
-    let errs = errors(&report);
-    assert_eq!(errs.len(), 2, "{:#?}", report.diagnostics);
-    assert!(errs.iter().all(|(rule, _)| *rule == "counter-arith"));
-    assert!(errs.iter().any(|(_, msg)| msg.contains("`+=`")));
-    assert!(errs.iter().any(|(_, msg)| msg.contains("`+`")));
-    assert!(errs.iter().all(|(_, msg)| msg.contains("`hits`")));
-}
-
-#[test]
-fn l10_wrap_fixed_twin_is_clean() {
-    assert_clean("l10_wrap_allow");
-}
-
-#[test]
-fn explain_covers_the_effect_rules() {
-    for rule in ["probe-effect", "counter-arith"] {
-        let info =
-            xtask::rule_info(rule).unwrap_or_else(|| panic!("`--explain {rule}` must resolve"));
-        assert_eq!(info.id, rule);
-        assert!(!info.summary.is_empty() && !info.rationale.is_empty() && !info.remedy.is_empty());
-    }
+fn explain_covers_the_probe_effect_rule() {
+    let info = xtask::rule_info("probe-effect").expect("`--explain probe-effect` must resolve");
+    assert_eq!(info.id, "probe-effect");
+    assert!(!info.summary.is_empty() && !info.rationale.is_empty() && !info.remedy.is_empty());
+    assert!(
+        xtask::rule_info("counter-arith").is_none(),
+        "counter arithmetic is clippy's `arithmetic_side_effects` now"
+    );
 }

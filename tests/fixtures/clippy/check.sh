@@ -1,10 +1,11 @@
 #!/bin/sh
 # Checks that rustc, clippy and Cargo enforce what the retired xtask
 # rules (panic, hashmap, wallclock, layering, result-discipline,
-# degradation-flow, atomics-audit) used to. Every violation crate
-# in this directory must fail under `cargo clippy -- -D warnings` with
-# exactly the expected number of diagnostics per lint or error code;
-# every twin must pass, test targets included.
+# degradation-flow, atomics-audit, counter-arith) used to. Every
+# violation crate in this directory must fail under
+# `cargo clippy -- -D warnings` with exactly the expected number of
+# diagnostics per lint or error code; every twin must pass, test
+# targets included.
 #
 # Usage: tests/fixtures/clippy/check.sh   (from any directory)
 set -u
@@ -66,4 +67,6 @@ rejects fault_discipline clippy::let_underscore_must_use=1 \
 accepts fault_discipline_expect
 rejects raw_atomic clippy::disallowed_types=4
 accepts raw_atomic_expect
+rejects counter_arith clippy::arithmetic_side_effects=2
+accepts counter_arith_expect
 exit $status
