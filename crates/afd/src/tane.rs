@@ -271,7 +271,7 @@ impl MinedDependencies {
     }
 
     /// The key with the highest raw support (Algorithm 2's literal
-    /// reading), exposed for the ablation benchmark.
+    /// reading), kept for comparison with [`Self::best_key`].
     pub fn best_key_by_support(&self) -> Option<&AKey> {
         self.keys.iter().min_by(|a, b| {
             b.support()

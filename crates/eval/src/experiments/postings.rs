@@ -26,9 +26,9 @@
 //!   by the shared executor vs what the same plans cost one-shot, from
 //!   the executor's own meters ([`aimq_storage::ExecStats`]).
 //!
-//! Wall-clock speedups for the same workloads are measured by the
-//! `postings` Criterion bench and recorded in
-//! `results/BENCH_postings.json`.
+//! The counters are recorded in `results/BENCH_postings.json`. Wall
+//! time for plan execution is measured end to end by `perfbench/`,
+//! whose `census_plan` workload sends whole plans to the executor.
 
 use aimq_catalog::{AttrId, Predicate, SelectionQuery};
 use aimq_data::CarDb;

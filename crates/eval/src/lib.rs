@@ -19,14 +19,22 @@
 //! | Importance-source ablation (extension) | — | [`experiments::ablation`] |
 //! | Fault matrix: degradation under source failures (extension) | — | [`experiments::faults`] |
 //! | Probe economy: dedup + cache vs the seed engine (extension) | — | [`experiments::cache`] |
+//! | Posting-list executor: shared-plan work vs one-shot (extension) | — | [`experiments::postings`] |
 //! | Federation: recall vs number of failed sources (extension) | — | [`experiments::federation`] |
 //!
 //! Each runner is a pure function of a [`Scale`] (dataset sizes) and a
 //! seed, returns a typed result struct, and renders the same rows/series
-//! the paper reports as an ASCII table. The `aimq-bench` crate wraps each
-//! runner in a binary; the suite's integration tests run them at
-//! [`Scale::quick`] and assert the paper's *qualitative* claims (who
-//! wins, what stays stable) rather than absolute numbers.
+//! the paper reports as an ASCII table. The crate's `aimq-eval` binary
+//! runs one of them by name and prints its report
+//! ([`experiments::report`]):
+//!
+//! ```text
+//! cargo run -p aimq-eval --release -- <experiment>
+//! ```
+//!
+//! The suite's integration tests run the runners at [`Scale::quick`]
+//! and assert the paper's *qualitative* claims (who wins, what stays
+//! stable) rather than absolute numbers.
 
 pub mod experiments;
 mod metrics;

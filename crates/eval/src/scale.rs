@@ -4,8 +4,8 @@
 /// 45k, samples of 15k/25k/50k, 1000 census queries). [`Scale::quick`]
 /// divides every size by 20 so the whole suite runs in seconds — used by
 /// integration tests and CI. [`Scale::from_env`] reads `AIMQ_SCALE`
-/// (`full`, `quick`, or an integer divisor) so the bench binaries can be
-/// throttled without recompiling.
+/// (`full`, `quick`, or an integer divisor) so the `aimq-eval` binary can
+/// be throttled without recompiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     divisor: usize,

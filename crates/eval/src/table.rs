@@ -2,8 +2,8 @@ use std::fmt;
 
 /// Minimal ASCII table renderer for experiment reports.
 ///
-/// Every experiment runner renders through this so the bench binaries
-/// print uniform, diff-able output (recorded in `EXPERIMENTS.md`).
+/// Every experiment runner renders through this so `aimq-eval` prints
+/// uniform, diff-able output (recorded in `EXPERIMENTS.md`).
 #[derive(Debug, Clone)]
 pub struct TextTable {
     title: String,

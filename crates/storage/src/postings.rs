@@ -4,8 +4,8 @@
 //! overlapping relaxed selections: every relaxed query of a base tuple's
 //! plan is the tuple query minus a few predicates, so consecutive plan
 //! entries share almost all of their conjuncts. Evaluating each query
-//! independently (the legacy driver-and-verify path in
-//! `crate::executor`) re-pays the shared work on every probe.
+//! independently (one-shot, as [`execute_query`] does) re-pays the
+//! shared work on every probe.
 //!
 //! This module evaluates selections as *set algebra over posting lists*:
 //!
@@ -271,7 +271,7 @@ pub fn execute_query(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> 
 ///   `Eq v` the band `[first ≥ v, first > v)` — exact for `±0.0`
 ///   (IEEE comparisons are monotone over the `total_cmp` order and
 ///   collapse the zero pair exactly as `Value`'s equality does) and for
-///   `±∞` (no `next_up` widening, unlike the legacy driver).
+///   `±∞` (no `next_up` widening).
 fn evaluate_term(relation: &Relation, group: &[Predicate]) -> Vec<RowId> {
     let Some(attribute) = relation
         .schema()

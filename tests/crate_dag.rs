@@ -10,7 +10,7 @@ use std::path::Path;
 
 /// Each crate directory and the crate directories it may depend on:
 /// catalog → storage → {afd, sim} → rock → core → serve → {http, cli,
-/// eval, bench}, with `data` a leaf over catalog/storage.
+/// eval}, with `data` a leaf over catalog/storage.
 const LAYERS: &[(&str, &[&str])] = &[
     ("catalog", &[]),
     ("storage", &["catalog"]),
@@ -35,12 +35,6 @@ const LAYERS: &[(&str, &[&str])] = &[
     ),
     (
         "cli",
-        &[
-            "catalog", "storage", "data", "afd", "sim", "rock", "core", "serve", "http", "eval",
-        ],
-    ),
-    (
-        "bench",
         &[
             "catalog", "storage", "data", "afd", "sim", "rock", "core", "serve", "http", "eval",
         ],
