@@ -44,6 +44,7 @@ mod atomic;
 mod bucket;
 mod error;
 mod json;
+mod leaf;
 mod query;
 mod schema;
 mod score;
@@ -54,6 +55,7 @@ pub use atomic::{Counter, Flag};
 pub use bucket::BucketSpec;
 pub use error::CatalogError;
 pub use json::{Json, JsonError};
+pub use leaf::{Leaf, Plain};
 pub use query::{ImpreciseQuery, Predicate, PredicateOp, SelectionQuery};
 pub use schema::{AttrId, Attribute, Domain, Schema, SchemaBuilder};
 pub use score::OrderedScore;

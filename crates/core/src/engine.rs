@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use aimq_catalog::{AttrId, ImpreciseQuery, Json, Schema, SelectionQuery, Tuple};
+use aimq_catalog::{AttrId, ImpreciseQuery, Json, Plain, Schema, SelectionQuery, Tuple};
 use aimq_sim::SimilarityModel;
 use aimq_storage::{QueryError, QueryPage, SourceHealth, WebDatabase};
 use serde::{Deserialize, Serialize};
@@ -54,6 +54,9 @@ pub struct EngineConfig {
     /// eval harness does, to measure the saving).
     pub dedup_probes: bool,
 }
+
+/// Numeric knobs and flags.
+impl Plain for EngineConfig {}
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -911,10 +914,9 @@ mod behavior_tests {
     use crate::relax::RelaxationStrategy;
     use crate::GuidedRelax;
     use aimq_afd::{AttributeOrdering, BucketConfig};
-    use aimq_catalog::{Schema, Value};
+    use aimq_catalog::{Leaf, Schema, Value};
     use aimq_sim::SimConfig;
     use aimq_storage::{AccessStats, InMemoryWebDb, Relation};
-    use std::sync::Mutex;
 
     fn schema() -> Schema {
         Schema::builder("R")
@@ -1144,7 +1146,7 @@ mod behavior_tests {
     /// A source that dies for good after a fixed number of successes.
     struct DyingDb {
         inner: InMemoryWebDb,
-        successes_left: Mutex<u32>,
+        successes_left: Leaf<u32>,
     }
 
     impl WebDatabase for DyingDb {
@@ -1152,11 +1154,14 @@ mod behavior_tests {
             self.inner.schema()
         }
         fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-            let mut left = self.successes_left.lock().unwrap();
-            if *left == 0 {
+            let alive = self.successes_left.with((), |left, ()| {
+                let alive = *left > 0;
+                *left = left.saturating_sub(1);
+                alive
+            });
+            if !alive {
                 return Err(QueryError::Unavailable);
             }
-            *left -= 1;
             self.inner.try_query(query)
         }
         fn stats(&self) -> AccessStats {
@@ -1218,7 +1223,7 @@ mod behavior_tests {
         // remaining steps of the 3-step escalation plan.
         let db = DyingDb {
             inner: InMemoryWebDb::new(relation),
-            successes_left: Mutex::new(1),
+            successes_left: Leaf::new(1),
         };
         let mut strategy = Escalating;
         let result = answer_imprecise_query(

@@ -6,18 +6,26 @@
 //! AIMQ_SCALE=quick cargo run -p aimq-eval --release -- fig6_7
 //! ```
 //!
-//! `AIMQ_SCALE` (`full`, `quick` or an integer divisor) sets the dataset
-//! sizes; the seed is fixed at 42. A missing or unknown experiment name
-//! prints the names to stderr and exits 2.
+//! `AIMQ_SCALE` (`full`, `quick` or an integer divisor of at least 1)
+//! sets the dataset sizes; the seed is fixed at 42. Any other
+//! `AIMQ_SCALE` value, or a missing or unknown experiment name, prints
+//! the problem to stderr and exits 2.
 
 use std::process::ExitCode;
 
 use aimq_eval::{experiments, Scale};
 
 fn main() -> ExitCode {
+    let scale = match Scale::from_env() {
+        Ok(scale) => scale,
+        Err(message) => {
+            eprintln!("aimq-eval: {message}");
+            return ExitCode::from(2);
+        }
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let report = match args.as_slice() {
-        [name] => experiments::report(name, Scale::from_env(), 42),
+        [name] => experiments::report(name, scale, 42),
         _ => None,
     };
     match report {

@@ -4,8 +4,8 @@
 /// 45k, samples of 15k/25k/50k, 1000 census queries). [`Scale::quick`]
 /// divides every size by 20 so the whole suite runs in seconds — used by
 /// integration tests and CI. [`Scale::from_env`] reads `AIMQ_SCALE`
-/// (`full`, `quick`, or an integer divisor) so the `aimq-eval` binary can
-/// be throttled without recompiling.
+/// (`full`, `quick`, or an integer divisor of at least 1) so the
+/// `aimq-eval` binary can be throttled without recompiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     divisor: usize,
@@ -29,16 +29,26 @@ impl Scale {
         }
     }
 
-    /// Read `AIMQ_SCALE` (`full` | `quick` | integer divisor); defaults to
-    /// full.
-    pub fn from_env() -> Self {
-        match std::env::var("AIMQ_SCALE").ok().as_deref() {
-            Some("quick") => Scale::quick(),
-            Some("full") | None => Scale::full(),
-            Some(other) => other
-                .parse::<usize>()
-                .map(Scale::with_divisor)
-                .unwrap_or_else(|_| Scale::full()),
+    /// Read `AIMQ_SCALE` (`full` | `quick` | integer divisor ≥ 1); unset
+    /// means full. Any other value is an error that names it, so a typo
+    /// never becomes a silent full-scale run.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("AIMQ_SCALE") {
+            Err(std::env::VarError::NotPresent) => Ok(Scale::full()),
+            Err(std::env::VarError::NotUnicode(raw)) => Err(invalid(&raw.to_string_lossy())),
+            Ok(value) => Scale::parse(&value),
+        }
+    }
+
+    /// Parse an `AIMQ_SCALE` value.
+    fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "full" => Ok(Scale::full()),
+            "quick" => Ok(Scale::quick()),
+            other => match other.parse::<usize>() {
+                Ok(divisor) if divisor >= 1 => Ok(Scale::with_divisor(divisor)),
+                _ => Err(invalid(other)),
+            },
         }
     }
 
@@ -71,6 +81,10 @@ impl Scale {
     pub fn divisor(&self) -> usize {
         self.divisor
     }
+}
+
+fn invalid(value: &str) -> String {
+    format!("AIMQ_SCALE must be `full`, `quick` or a divisor of at least 1, not `{value}`")
 }
 
 impl std::fmt::Display for Scale {
@@ -107,6 +121,17 @@ mod tests {
         let s = Scale::with_divisor(1_000_000);
         assert_eq!(s.cardb(), 50);
         assert_eq!(s.count(14), 3);
+    }
+
+    #[test]
+    fn parse_accepts_names_and_divisors_and_rejects_the_rest() {
+        assert_eq!(Scale::parse("full"), Ok(Scale::full()));
+        assert_eq!(Scale::parse("quick"), Ok(Scale::quick()));
+        assert_eq!(Scale::parse("7"), Ok(Scale::with_divisor(7)));
+        for bad in ["quik", "0", "", "-3", "1.5"] {
+            let err = Scale::parse(bad).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
     }
 
     #[test]

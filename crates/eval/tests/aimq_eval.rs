@@ -5,9 +5,13 @@ use std::process::{Command, Output};
 use aimq_eval::{experiments, Scale};
 
 fn aimq_eval(args: &[&str]) -> Output {
+    aimq_eval_at("quick", args)
+}
+
+fn aimq_eval_at(scale: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_aimq-eval"))
         .args(args)
-        .env("AIMQ_SCALE", "quick")
+        .env("AIMQ_SCALE", scale)
         .output()
         .expect("aimq-eval runs")
 }
@@ -25,6 +29,20 @@ fn a_missing_or_unknown_name_exits_2_and_lists_every_name() {
                 "args {args:?}: {name} missing from {stderr:?}"
             );
         }
+    }
+}
+
+#[test]
+fn a_bad_scale_exits_2_and_names_the_value() {
+    for scale in ["quik", "0"] {
+        let out = aimq_eval_at(scale, &["fig5"]);
+        assert_eq!(out.status.code(), Some(2), "AIMQ_SCALE={scale}");
+        assert!(out.stdout.is_empty(), "AIMQ_SCALE={scale}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(
+            stderr.contains(&format!("`{scale}`")),
+            "AIMQ_SCALE={scale}: {stderr:?}"
+        );
     }
 }
 

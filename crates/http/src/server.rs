@@ -28,8 +28,8 @@
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use aimq::AimqSystem;
@@ -66,15 +66,6 @@ impl Default for HttpConfig {
     }
 }
 
-/// Poison-recovering lock for the connection-handle registry: a
-/// connection thread that panicked has already closed its socket, and
-/// joining the remaining threads matters more than cascading.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock() // aimq-lint: allow(lock-discipline) -- local helper; family attributed at the field
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// A running HTTP front door over one [`aimq_serve::QueryServer`].
 pub struct AimqHttpServer {
     addr: SocketAddr,
@@ -82,10 +73,9 @@ pub struct AimqHttpServer {
     /// Raised by `shutdown()`; the acceptor and every connection loop
     /// poll it.
     shutting_down: Arc<Flag>,
-    acceptor: Option<JoinHandle<()>>,
-    // aimq-lock: family(http-conns) -- leaf lock: push/drain the handle
-    // list only; joins happen after the guard is dropped
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The acceptor owns the connection threads' handles and hands them
+    /// back when it is joined.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl AimqHttpServer {
@@ -108,38 +98,41 @@ impl AimqHttpServer {
             http_stats: crate::routes::HttpStats::default(),
         });
         let shutting_down = Arc::new(Flag::new());
-        // aimq-lock: family(http-conns) -- leaf lock: push/drain the handle
-        // list only; joins happen after the guard is dropped
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let acceptor = {
             let state = Arc::clone(&state);
             let shutting_down = Arc::clone(&shutting_down);
-            let conns = Arc::clone(&conns);
-            std::thread::spawn(move || {
+            thread::spawn(move || {
+                let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 for stream in listener.incoming() {
                     if shutting_down.is_set() {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
                     state.http_stats.note_connection();
-                    let state = Arc::clone(&state);
-                    let shutting_down = Arc::clone(&shutting_down);
-                    let handle = std::thread::spawn(move || {
-                        if handle_connection(&state, &shutting_down, stream).is_err() {
+                    let conn_state = Arc::clone(&state);
+                    let conn_shutting_down = Arc::clone(&shutting_down);
+                    let spawned = thread::Builder::new().spawn(move || {
+                        if handle_connection(&conn_state, &conn_shutting_down, stream).is_err() {
                             // The peer reset or the socket died; the
                             // connection is over either way — count it
                             // so /stats shows transport trouble.
-                            state.http_stats.note_connection_error();
+                            conn_state.http_stats.note_connection_error();
                         }
                     });
                     // Reap finished handles as we go (dropping a
                     // finished JoinHandle detaches it) so a long-lived
                     // server doesn't accumulate one per past connection.
-                    let mut registry = lock(&conns);
-                    registry.retain(|h| !h.is_finished());
-                    registry.push(handle);
+                    conns.retain(|h| !h.is_finished());
+                    match spawned {
+                        Ok(handle) => conns.push(handle),
+                        // No thread for this connection: its socket
+                        // closed with the dropped closure. Count it and
+                        // keep accepting.
+                        Err(_) => state.http_stats.note_connection_error(),
+                    }
                 }
+                conns
             })
         };
 
@@ -148,7 +141,6 @@ impl AimqHttpServer {
             state,
             shutting_down,
             acceptor: Some(acceptor),
-            conns,
         })
     }
 
@@ -173,19 +165,14 @@ impl AimqHttpServer {
         if TcpStream::connect(self.addr).is_err() {
             self.state.http_stats.note_connection_error();
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            #[expect(
-                clippy::let_underscore_must_use,
-                clippy::let_underscore_untyped,
-                reason = "an acceptor panic has no recovery; draining continues regardless"
-            )]
-            let _ = acceptor.join();
-        }
-        // Drain: join every connection thread. Handles are moved out
-        // under the lock (the inner block drops the guard), joined
-        // after it is released.
-        let handles = { std::mem::take(&mut *lock(&self.conns)) };
-        for handle in handles {
+        // Drain: the joined acceptor hands back every connection
+        // thread, and each is joined in turn. An acceptor that panicked
+        // took its handles with it; those threads finish on their own.
+        let conns = match self.acceptor.take().map(JoinHandle::join) {
+            Some(Ok(conns)) => conns,
+            Some(Err(_)) | None => Vec::new(),
+        };
+        for handle in conns {
             #[expect(
                 clippy::let_underscore_must_use,
                 clippy::let_underscore_untyped,

@@ -52,7 +52,6 @@ pub use server::{QueryServer, ServeConfig, ServeOutcome, ServeResult, Ticket};
 pub use stats::{ServeStats, ServeStatsSnapshot, LATENCY_BUCKETS};
 
 use aimq::AnswerSet;
-use std::sync::{Mutex, MutexGuard};
 
 /// Why a query was not fully served.
 #[derive(Debug)]
@@ -89,16 +88,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Poison-recovering lock: a worker that panicked mid-update of queue
-/// state cannot corrupt a `VecDeque` of owned requests (no invariants
-/// span the panic point), so the right response is to keep serving, not
-/// to cascade the panic through every thread that touches the mutex.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock() // aimq-lint: allow(lock-discipline) -- generic helper; family attributed at call sites
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 #[cfg(test)]
 mod tests {

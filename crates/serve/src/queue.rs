@@ -10,9 +10,9 @@
 //! [`close`]: AdmissionQueue::close
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Condvar;
 
-use crate::lock;
+use aimq_catalog::{Leaf, Plain};
 
 /// Why a push was refused. The item comes back so the caller can report
 /// or retry — admission control must never lose work silently.
@@ -29,6 +29,9 @@ struct QueueState<T> {
     closed: bool,
 }
 
+/// Queued items and a flag.
+impl<T: Plain> Plain for QueueState<T> {}
+
 /// A bounded multi-producer multi-consumer FIFO.
 ///
 /// All coordination is a single mutex plus one condition variable —
@@ -37,18 +40,16 @@ struct QueueState<T> {
 /// engine work per item, not by queue handoff, so a finer-grained
 /// design would buy nothing here.
 pub struct AdmissionQueue<T> {
-    // aimq-lock: family(admission-queue) -- sole queue lock; held only for
-    // push/pop bookkeeping and released before notifying the condvar
-    state: Mutex<QueueState<T>>,
+    state: Leaf<QueueState<T>>,
     available: Condvar,
     capacity: usize,
 }
 
-impl<T> AdmissionQueue<T> {
+impl<T: Plain> AdmissionQueue<T> {
     /// An open queue holding at most `capacity` items (minimum 1).
     pub fn new(capacity: usize) -> Self {
         AdmissionQueue {
-            state: Mutex::new(QueueState {
+            state: Leaf::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
             }),
@@ -65,7 +66,7 @@ impl<T> AdmissionQueue<T> {
     /// Current depth (racy by nature; exact under the caller's own lock
     /// discipline only).
     pub fn len(&self) -> usize {
-        lock(&self.state).items.len()
+        self.state.with((), |state, ()| state.items.len())
     }
 
     /// `true` when no items are waiting.
@@ -76,43 +77,40 @@ impl<T> AdmissionQueue<T> {
     /// Admit `item`, returning the depth *after* the push, or give it
     /// back with the reason admission failed. Never blocks.
     pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = lock(&self.state);
-        if state.closed {
-            return Err(PushError::Closed(item));
+        let pushed = self
+            .state
+            .with((item, self.capacity), |state, (item, capacity)| {
+                if state.closed {
+                    return Err(PushError::Closed(item));
+                }
+                if state.items.len() >= capacity {
+                    return Err(PushError::Overloaded(item));
+                }
+                state.items.push_back(item);
+                Ok(state.items.len())
+            });
+        if pushed.is_ok() {
+            self.available.notify_one();
         }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Overloaded(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        drop(state);
-        self.available.notify_one();
-        Ok(depth)
+        pushed
     }
 
     /// Block until an item is available or the queue is closed *and*
     /// drained. `None` means shutdown: every admitted item has been
     /// handed to some consumer.
     pub fn pop(&self) -> Option<T> {
-        let mut state = lock(&self.state);
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
+        self.state.wait_for(&self.available, (), |state, ()| {
+            match state.items.pop_front() {
+                Some(item) => Some(Some(item)),
+                None => state.closed.then_some(None),
             }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        })
     }
 
     /// Close the queue: future pushes fail with [`PushError::Closed`],
     /// consumers drain what was admitted and then observe `None`.
     pub fn close(&self) {
-        lock(&self.state).closed = true;
+        self.state.with((), |state, ()| state.closed = true);
         self.available.notify_all();
     }
 }

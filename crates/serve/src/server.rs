@@ -16,17 +16,17 @@
 //! concurrency levels — byte-identity checks must compare ranked
 //! answers, base query, and degradation probe counts, not meter deltas.
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use aimq::{AimqSystem, AnswerSet, EngineConfig};
-use aimq_catalog::ImpreciseQuery;
+use aimq_catalog::{ImpreciseQuery, Leaf, Plain};
 use aimq_storage::WebDatabase;
 
 use crate::backlog::{Backlog, BacklogSlot};
 use crate::queue::{AdmissionQueue, PushError};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
-use crate::{lock, DeadlineWebDb, ServeError};
+use crate::{DeadlineWebDb, ServeError};
 
 /// Serving knobs.
 #[derive(Debug, Clone)]
@@ -81,6 +81,10 @@ struct Request {
     reply: mpsc::Sender<ServeResult>,
 }
 
+/// A query, a reply sender whose `send` never blocks and a slot whose
+/// release is one atomic decrement; the queue only moves requests.
+impl Plain for Request {}
+
 /// Handle to one admitted query; redeem with [`Ticket::wait`].
 #[derive(Debug)]
 pub struct Ticket {
@@ -102,9 +106,7 @@ pub struct QueryServer {
     stats: Arc<ServeStats>,
     /// Admitted queries that are queued or on a worker.
     backlog: Arc<Backlog>,
-    // aimq-lock: family(engine-config) -- leaf lock; holders copy the
-    // Copy config in or out and never block while holding the guard
-    engine_config: Arc<Mutex<EngineConfig>>,
+    engine_config: Arc<Leaf<EngineConfig>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -125,7 +127,7 @@ impl QueryServer {
         // worker; beyond queue + workers there is nowhere for it to go
         // but a growing backlog, so it is rejected instead.
         let backlog = Backlog::new(config.queue_capacity.max(1).saturating_add(workers));
-        let engine_config = Arc::new(Mutex::new(config.engine));
+        let engine_config = Arc::new(Leaf::new(config.engine));
         let handles = (0..workers)
             .map(|worker_id| {
                 let system = Arc::clone(&system);
@@ -138,9 +140,8 @@ impl QueryServer {
                     while let Some(request) = queue.pop() {
                         // Copy the engine knobs out at dequeue time: a
                         // concurrent reconfiguration applies to queries
-                        // dequeued after it. The inner block drops the
-                        // guard before the (blocking) engine call.
-                        let engine = { *lock(&engine_config) };
+                        // dequeued after it.
+                        let engine = engine_config.with((), |config, ()| *config);
                         serve_one(&system, &*db, &config, &engine, &stats, worker_id, request);
                     }
                 })
@@ -200,14 +201,15 @@ impl QueryServer {
     /// The engine knobs queries are currently answered under (the
     /// `GET /config` view).
     pub fn engine_config(&self) -> EngineConfig {
-        *lock(&self.engine_config)
+        self.engine_config.with((), |config, ()| *config)
     }
 
     /// Replace the engine knobs. Queries dequeued after the call are
     /// answered under `config`; queries already on a worker keep the
     /// knobs they started with (a query is never reconfigured mid-run).
     pub fn set_engine_config(&self, config: EngineConfig) {
-        *lock(&self.engine_config) = config;
+        self.engine_config
+            .with(config, |current, new| *current = new);
     }
 
     /// Stop admitting new queries; everything already admitted keeps
@@ -544,12 +546,12 @@ mod tests {
         );
     }
 
-    /// A database whose first probe blocks until the test's gate opens
-    /// (the sender is dropped), so a ticket can be abandoned while its
-    /// query is deterministically still in flight.
+    /// A database whose probes block until the test opens its gate, so
+    /// a ticket can be abandoned while its query is deterministically
+    /// still in flight.
     struct GatedDb<D> {
         inner: D,
-        gate: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+        gate: Arc<(Leaf<bool>, std::sync::Condvar)>,
     }
 
     impl<D: WebDatabase> WebDatabase for GatedDb<D> {
@@ -558,10 +560,10 @@ mod tests {
         }
 
         fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-            // Blocks until the test drops the sender; every later probe
-            // sees the disconnect error immediately and sails through.
-            let opened = self.gate.lock().expect("gate lock").recv();
-            assert!(opened.is_err(), "the gate opens only when its sender drops");
+            // Blocks until the test opens the gate; every later probe
+            // sails through.
+            let (open, opened) = &*self.gate;
+            open.wait_for(opened, (), |open, ()| open.then_some(()));
             self.inner.try_query(query)
         }
 
@@ -577,10 +579,10 @@ mod tests {
     #[test]
     fn abandoned_ticket_is_counted_not_swallowed() {
         let (system, _, queries) = system_and_db();
-        let (hold, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Arc::new((Leaf::new(false), std::sync::Condvar::new()));
         let db: Arc<dyn WebDatabase> = Arc::new(GatedDb {
             inner: InMemoryWebDb::new(CarDb::generate(600, 7)),
-            gate: std::sync::Mutex::new(gate),
+            gate: Arc::clone(&gate),
         });
         let server = QueryServer::start(
             system,
@@ -597,7 +599,8 @@ mod tests {
         // probe. Abandon the ticket first, then open the gate: the
         // worker finishes the query and finds nobody waiting.
         drop(ticket);
-        drop(hold);
+        gate.0.with((), |open, ()| *open = true);
+        gate.1.notify_all();
         let final_stats = server.shutdown();
         assert_eq!(final_stats.admitted, 1);
         assert_eq!(final_stats.completed + final_stats.deadline_missed, 1);

@@ -1,10 +1,10 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use aimq_catalog::{Schema, SelectionQuery};
+use aimq_catalog::{Leaf, Plain, Schema, SelectionQuery};
 
-use crate::web::{lock_stats, AccessStats, QueryError, QueryPage, WebDatabase};
+use crate::web::{AccessStats, QueryError, QueryPage, WebDatabase};
 
 /// Default number of memoized pages ([`CachedWebDb::new`] callers that have
 /// no better number; the CLI default).
@@ -35,6 +35,45 @@ struct CacheState {
     hits: u64,
     misses: u64,
     evictions: u64,
+}
+
+/// Owned pages, keys and tallies.
+impl Plain for CacheState {}
+
+impl CacheState {
+    /// Look `key` up and count the outcome (see [`CachedWebDb::lookup`]).
+    fn lookup(&mut self, (key, misses_queued): (&SelectionQuery, bool)) -> Lookup {
+        let Some(page) = self.pages.get(key) else {
+            self.misses = self.misses.saturating_add(1);
+            return Lookup::Miss;
+        };
+        if misses_queued {
+            return Lookup::Evictable;
+        }
+        let page = page.clone();
+        self.hits = self.hits.saturating_add(1);
+        Lookup::Hit(page)
+    }
+
+    /// Memoize `page` under `key` unless a racing miss already did
+    /// (first insertion wins, so `order` never holds a duplicate key),
+    /// then evict FIFO down to `capacity`.
+    fn admit(&mut self, (key, page, capacity): (&SelectionQuery, &QueryPage, usize)) {
+        if self.pages.contains_key(key) {
+            return;
+        }
+        self.order.push_back(key.clone());
+        self.pages.insert(key.clone(), page.clone());
+        while self.pages.len() > capacity {
+            match self.order.pop_front() {
+                Some(oldest) => {
+                    self.pages.remove(&oldest);
+                    self.evictions = self.evictions.saturating_add(1);
+                }
+                None => break,
+            }
+        }
+    }
 }
 
 /// The cache key of `query`: its canonical form, borrowed when the query
@@ -119,10 +158,7 @@ pub struct CachedWebDb<D> {
     /// Capacity bound each stripe enforces locally.
     stripe_capacity: usize,
     /// At least one stripe, always.
-    // aimq-lock: family(cache-stripe) -- each stripe guards one shard of the
-    // page memo; stripes are peers, never nested, and no guard outlives the
-    // hit/miss bookkeeping around a probe
-    stripes: Arc<Vec<Mutex<CacheState>>>,
+    stripes: Arc<Vec<Leaf<CacheState>>>,
 }
 
 impl<D: WebDatabase> CachedWebDb<D> {
@@ -153,7 +189,7 @@ impl<D: WebDatabase> CachedWebDb<D> {
             stripe_capacity,
             stripes: Arc::new(
                 (0..stripes)
-                    .map(|_| Mutex::new(CacheState::default()))
+                    .map(|_| Leaf::new(CacheState::default()))
                     .collect(),
             ),
         }
@@ -192,28 +228,19 @@ impl<D: WebDatabase> CachedWebDb<D> {
     /// (construction forbids it) reads as an uncounted miss, i.e. the
     /// cache is disabled rather than panicking.
     fn lookup(&self, stripe: usize, key: &SelectionQuery, misses_queued: bool) -> Lookup {
-        let Some(stripe) = self.stripes.get(stripe) else {
-            return Lookup::Miss;
-        };
-        let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
-        let Some(page) = state.pages.get(key) else {
-            state.misses = state.misses.saturating_add(1);
-            return Lookup::Miss;
-        };
-        if misses_queued {
-            return Lookup::Evictable;
+        match self.stripes.get(stripe) {
+            Some(stripe) => stripe.with((key, misses_queued), CacheState::lookup),
+            None => Lookup::Miss,
         }
-        let page = page.clone();
-        state.hits = state.hits.saturating_add(1);
-        Lookup::Hit(page)
     }
 
     /// Take back a miss counted for a plan entry that the sequential
     /// loop would never have reached.
     fn uncount(&self, stripe: usize) {
         if let Some(stripe) = self.stripes.get(stripe) {
-            let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
-            state.misses = state.misses.saturating_sub(1);
+            stripe.with((), |state, ()| {
+                state.misses = state.misses.saturating_sub(1);
+            });
         }
     }
 
@@ -224,25 +251,8 @@ impl<D: WebDatabase> CachedWebDb<D> {
         if page.truncated || self.stripe_capacity == 0 {
             return;
         }
-        let Some(stripe) = self.stripes.get(stripe) else {
-            return;
-        };
-        // A concurrent miss for the same query may have raced us here;
-        // first insertion wins so `order` never holds a duplicate key.
-        let mut state = lock_stats(stripe); // aimq-lock: use(cache-stripe)
-        if state.pages.contains_key(key) {
-            return;
-        }
-        state.order.push_back(key.clone());
-        state.pages.insert(key.clone(), page.clone());
-        while state.pages.len() > self.stripe_capacity {
-            match state.order.pop_front() {
-                Some(oldest) => {
-                    state.pages.remove(&oldest);
-                    state.evictions = state.evictions.saturating_add(1);
-                }
-                None => break,
-            }
+        if let Some(stripe) = self.stripes.get(stripe) {
+            stripe.with((key, page, self.stripe_capacity), CacheState::admit);
         }
     }
 
@@ -308,8 +318,10 @@ impl<D: WebDatabase> CachedWebDb<D> {
 
     /// Number of pages currently memoized, summed over stripes.
     pub fn len(&self) -> usize {
-        // aimq-lock: use(cache-stripe)
-        self.stripes.iter().map(|s| lock_stats(s).pages.len()).sum()
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.with((), |state, ()| state.pages.len()))
+            .sum()
     }
 
     /// `true` when nothing is memoized.
@@ -321,9 +333,10 @@ impl<D: WebDatabase> CachedWebDb<D> {
     /// counted — nothing was displaced by an admission).
     pub fn clear(&self) {
         for stripe in self.stripes.iter() {
-            let mut state = lock_stats(stripe);
-            state.pages.clear();
-            state.order.clear();
+            stripe.with((), |state, ()| {
+                state.pages.clear();
+                state.order.clear();
+            });
         }
     }
 }
@@ -383,10 +396,11 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
         let inner = self.inner.stats();
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for stripe in self.stripes.iter() {
-            let state = lock_stats(stripe);
-            hits = hits.saturating_add(state.hits);
-            misses = misses.saturating_add(state.misses);
-            evictions = evictions.saturating_add(state.evictions);
+            let (h, m, e) =
+                stripe.with((), |state, ()| (state.hits, state.misses, state.evictions));
+            hits = hits.saturating_add(h);
+            misses = misses.saturating_add(m);
+            evictions = evictions.saturating_add(e);
         }
         AccessStats {
             cache_hits: inner.cache_hits.saturating_add(hits),
@@ -399,10 +413,11 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
     fn reset_stats(&self) {
         self.inner.reset_stats();
         for stripe in self.stripes.iter() {
-            let mut state = lock_stats(stripe);
-            state.hits = 0;
-            state.misses = 0;
-            state.evictions = 0;
+            stripe.with((), |state, ()| {
+                state.hits = 0;
+                state.misses = 0;
+                state.evictions = 0;
+            });
         }
     }
 

@@ -13,13 +13,12 @@
 //! *further* positions, which is what makes retry-until-success converge
 //! under any nonzero success probability.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use aimq_catalog::{Schema, SelectionQuery};
+use aimq_catalog::{Leaf, Plain, Schema, SelectionQuery};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::web::lock_stats;
 use crate::{AccessStats, QueryError, QueryPage, WebDatabase};
 
 /// Periodic rate-limit bursts: after every `period` admitted queries the
@@ -163,6 +162,13 @@ struct FaultState {
     clipped_tuples: u64,
 }
 
+/// The schedule cursor, its RNG and tallies.
+impl Plain for FaultState {}
+/// Probabilities and windows.
+impl Plain for FaultProfile {}
+/// A two-variant tag.
+impl Plain for FaultMode {}
+
 /// A [`WebDatabase`] decorator that injects faults from a seeded,
 /// deterministic schedule. See the module docs for the replay contract.
 ///
@@ -174,9 +180,7 @@ pub struct FaultInjectingWebDb<D> {
     profile: FaultProfile,
     seed: u64,
     mode: FaultMode,
-    // aimq-lock: family(fault-state) -- guards the schedule cursor and
-    // meters; never held across a probe of the inner database
-    state: Arc<Mutex<FaultState>>,
+    state: Arc<Leaf<FaultState>>,
 }
 
 impl<D: WebDatabase> FaultInjectingWebDb<D> {
@@ -203,7 +207,7 @@ impl<D: WebDatabase> FaultInjectingWebDb<D> {
             profile,
             seed,
             mode,
-            state: Arc::new(Mutex::new(FaultState {
+            state: Arc::new(Leaf::new(FaultState {
                 rng: StdRng::seed_from_u64(seed),
                 calls: 0,
                 injected_failures: 0,
@@ -232,22 +236,29 @@ impl<D: WebDatabase> FaultInjectingWebDb<D> {
     /// Decide the fate of the next query. Returns `Ok(clip)` where `clip`
     /// is an optional page cap, or the injected error.
     fn schedule_next(&self, query: &SelectionQuery) -> Result<Option<usize>, QueryError> {
-        let mut state = lock_stats(&self.state);
-        // Reborrow so the scheduler RNG and the meters can be borrowed
-        // field-by-field below.
-        let state = &mut *state;
-        let ordinal = state.calls;
-        state.calls = state.calls.saturating_add(1);
+        let input = (&self.profile, self.mode, self.seed, query);
+        self.state.with(input, FaultState::schedule)
+    }
+}
 
-        if self.mode == FaultMode::Sequenced {
-            if let Some(window) = self.profile.rate_limit {
+impl FaultState {
+    /// The schedule step behind [`FaultInjectingWebDb::schedule_next`].
+    fn schedule(
+        &mut self,
+        (profile, mode, seed, query): (&FaultProfile, FaultMode, u64, &SelectionQuery),
+    ) -> Result<Option<usize>, QueryError> {
+        let ordinal = self.calls;
+        self.calls = self.calls.saturating_add(1);
+
+        if mode == FaultMode::Sequenced {
+            if let Some(window) = profile.rate_limit {
                 let cycle = window.period.saturating_add(window.burst);
                 if window.burst > 0
                     && ordinal
                         .checked_rem(cycle)
                         .is_some_and(|phase| phase >= window.period)
                 {
-                    state.injected_failures = state.injected_failures.saturating_add(1);
+                    self.injected_failures = self.injected_failures.saturating_add(1);
                     return Err(QueryError::RateLimited {
                         retry_after: window.retry_after,
                     });
@@ -262,31 +273,31 @@ impl<D: WebDatabase> FaultInjectingWebDb<D> {
         // query, not from the shared stream — the shared stream is not
         // advanced at all, so sequenced clones are unaffected.
         let mut keyed_rng;
-        let rng: &mut StdRng = match self.mode {
-            FaultMode::Sequenced => &mut state.rng,
+        let rng: &mut StdRng = match mode {
+            FaultMode::Sequenced => &mut self.rng,
             FaultMode::Keyed => {
-                keyed_rng = StdRng::seed_from_u64(self.seed ^ query.stable_hash());
+                keyed_rng = StdRng::seed_from_u64(seed ^ query.stable_hash());
                 &mut keyed_rng
             }
         };
         let u: f64 = rng.random();
-        let mut edge = self.profile.unavailable_probability;
+        let mut edge = profile.unavailable_probability;
         if u < edge {
-            state.injected_failures = state.injected_failures.saturating_add(1);
+            self.injected_failures = self.injected_failures.saturating_add(1);
             return Err(QueryError::Unavailable);
         }
-        edge += self.profile.timeout_probability;
+        edge += profile.timeout_probability;
         if u < edge {
-            state.injected_failures = state.injected_failures.saturating_add(1);
+            self.injected_failures = self.injected_failures.saturating_add(1);
             return Err(QueryError::Timeout);
         }
-        edge += self.profile.transient_probability;
+        edge += profile.transient_probability;
         if u < edge {
-            state.injected_failures = state.injected_failures.saturating_add(1);
+            self.injected_failures = self.injected_failures.saturating_add(1);
             return Err(QueryError::Transient);
         }
 
-        if let Some(policy) = self.profile.truncation {
+        if let Some(policy) = profile.truncation {
             let v: f64 = rng.random();
             if v < policy.probability {
                 return Ok(Some(policy.max_tuples));
@@ -310,9 +321,10 @@ impl<D: WebDatabase> WebDatabase for FaultInjectingWebDb<D> {
                 let clipped = page.tuples.len().saturating_sub(max_tuples) as u64;
                 page.tuples.truncate(max_tuples);
                 page.truncated = true;
-                let mut state = lock_stats(&self.state);
-                state.injected_truncations = state.injected_truncations.saturating_add(1);
-                state.clipped_tuples = state.clipped_tuples.saturating_add(clipped);
+                self.state.with(clipped, |state, clipped| {
+                    state.injected_truncations = state.injected_truncations.saturating_add(1);
+                    state.clipped_tuples = state.clipped_tuples.saturating_add(clipped);
+                });
             }
         }
         Ok(page)
@@ -320,26 +332,32 @@ impl<D: WebDatabase> WebDatabase for FaultInjectingWebDb<D> {
 
     fn stats(&self) -> AccessStats {
         let inner = self.inner.stats();
-        let state = lock_stats(&self.state);
+        let (injected_failures, injected_truncations, clipped_tuples) =
+            self.state.with((), |state, ()| {
+                (
+                    state.injected_failures,
+                    state.injected_truncations,
+                    state.clipped_tuples,
+                )
+            });
         AccessStats {
             // Injected failures never reach the inner meter, but the
             // query *was* attempted against the (simulated) source.
-            queries_issued: inner.queries_issued.saturating_add(state.injected_failures),
-            tuples_returned: inner.tuples_returned.saturating_sub(state.clipped_tuples),
-            failures: inner.failures.saturating_add(state.injected_failures),
-            truncated_queries: inner
-                .truncated_queries
-                .saturating_add(state.injected_truncations),
+            queries_issued: inner.queries_issued.saturating_add(injected_failures),
+            tuples_returned: inner.tuples_returned.saturating_sub(clipped_tuples),
+            failures: inner.failures.saturating_add(injected_failures),
+            truncated_queries: inner.truncated_queries.saturating_add(injected_truncations),
             ..inner
         }
     }
 
     fn reset_stats(&self) {
         self.inner.reset_stats();
-        let mut state = lock_stats(&self.state);
-        state.injected_failures = 0;
-        state.injected_truncations = 0;
-        state.clipped_tuples = 0;
+        self.state.with((), |state, ()| {
+            state.injected_failures = 0;
+            state.injected_truncations = 0;
+            state.clipped_tuples = 0;
+        });
     }
 
     fn source_health(&self) -> Option<Vec<crate::SourceHealth>> {

@@ -37,12 +37,13 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use aimq_catalog::{AttrId, Domain, Json, Predicate, Schema, SelectionQuery, Tuple, Value};
+use aimq_catalog::{
+    AttrId, Domain, Json, Leaf, Plain, Predicate, Schema, SelectionQuery, Tuple, Value,
+};
 use serde::{Deserialize, Serialize};
 
-use crate::web::lock_stats;
 use crate::{
     AccessStats, CachedWebDb, FaultInjectingWebDb, FaultProfile, InMemoryWebDb, QueryError,
     QueryPage, Relation, ResilientWebDb, RetryPolicy, VirtualClock, WebDatabase,
@@ -238,7 +239,43 @@ pub struct SourceHealth {
     pub breaker_open: bool,
 }
 
+/// A name and counters.
+impl Plain for SourceHealth {}
+
+/// One change to a member's health counters (see
+/// [`FederatedWebDb::note`]).
+#[derive(Debug, Clone, Copy)]
+enum HealthEvent {
+    /// A scatter probe went out, and failed or not.
+    Probed { failed: bool },
+    /// The member was first to return this many merged tuples.
+    Contributed(u64),
+    /// A hedge fired for the member.
+    HedgeFired,
+    /// A hedge fired for the member, and its mirror answered.
+    HedgeWon,
+}
+
+/// A counter tag.
+impl Plain for HealthEvent {}
+
 impl SourceHealth {
+    fn record(&mut self, event: HealthEvent) {
+        match event {
+            HealthEvent::Probed { failed } => {
+                self.probes_attempted = self.probes_attempted.saturating_add(1);
+                if failed {
+                    self.probes_failed = self.probes_failed.saturating_add(1);
+                }
+            }
+            HealthEvent::Contributed(n) => {
+                self.tuples_contributed = self.tuples_contributed.saturating_add(n);
+            }
+            HealthEvent::HedgeFired => self.hedges_fired = self.hedges_fired.saturating_add(1),
+            HealthEvent::HedgeWon => self.hedges_won = self.hedges_won.saturating_add(1),
+        }
+    }
+
     /// Per-counter difference `self - earlier`, saturating at zero;
     /// `breaker_open` keeps the later (current) state. The engine uses
     /// this to scope the per-source breakdown to one call.
@@ -336,9 +373,7 @@ pub struct FederatedWebDb {
     mirrors: Arc<Vec<Option<usize>>>,
     policy: FederationPolicy,
     clock: Arc<VirtualClock>,
-    // aimq-lock: family(federation-state) -- guards the per-member health
-    // counters; released before every member probe
-    health: Arc<Mutex<Vec<SourceHealth>>>,
+    health: Arc<Leaf<Vec<SourceHealth>>>,
 }
 
 impl fmt::Debug for FederatedWebDb {
@@ -380,7 +415,7 @@ impl FederatedWebDb {
             mirrors: Arc::new(mirrors),
             policy,
             clock,
-            health: Arc::new(Mutex::new(health)),
+            health: Arc::new(Leaf::new(health)),
         })
     }
 
@@ -484,10 +519,7 @@ impl FederatedWebDb {
     /// Per-member health snapshot: scatter outcomes plus current breaker
     /// state. Counter order matches member order and is stable.
     pub fn federation_report(&self) -> Vec<SourceHealth> {
-        let mut snapshot = {
-            // aimq-lock: use(federation-state)
-            lock_stats(&self.health).clone()
-        };
+        let mut snapshot = self.health.with((), |health, ()| health.clone());
         for (i, h) in snapshot.iter_mut().enumerate() {
             h.breaker_open = self
                 .members
@@ -498,14 +530,13 @@ impl FederatedWebDb {
         snapshot
     }
 
-    /// Run `mutate` over member `i`'s health counters under the state
-    /// lock (never held across a probe).
-    fn with_health(&self, i: usize, mutate: impl FnOnce(&mut SourceHealth)) {
-        // aimq-lock: use(federation-state)
-        let mut health = lock_stats(&self.health);
-        if let Some(h) = health.get_mut(i) {
-            mutate(h);
-        }
+    /// Record `event` in member `i`'s health counters.
+    fn note(&self, i: usize, event: HealthEvent) {
+        self.health.with((i, event), |health, (i, event)| {
+            if let Some(h) = health.get_mut(i) {
+                h.record(event);
+            }
+        });
     }
 
     /// Issue one (schema-mapped) probe against a member's stack and map
@@ -551,9 +582,7 @@ impl FederatedWebDb {
             }
         }
         if fresh > 0 {
-            self.with_health(contributor, |h| {
-                h.tuples_contributed = h.tuples_contributed.saturating_add(fresh);
-            });
+            self.note(contributor, HealthEvent::Contributed(fresh));
         }
     }
 
@@ -586,14 +615,10 @@ impl FederatedWebDb {
         if wait_out_delay {
             self.clock.advance(delay);
         }
-        self.with_health(i, |h| {
-            h.hedges_fired = h.hedges_fired.saturating_add(1);
-        });
+        self.note(i, HealthEvent::HedgeFired);
         match self.probe_member(mirror, query) {
             Ok(page) => {
-                self.with_health(i, |h| {
-                    h.hedges_won = h.hedges_won.saturating_add(1);
-                });
+                self.note(i, HealthEvent::HedgeWon);
                 *truncated |= page.truncated;
                 self.merge_page(mirror_ix, page, seen, merged);
                 true
@@ -629,12 +654,7 @@ impl WebDatabase for FederatedWebDb {
             let outcome = self.probe_member(member, query);
             let elapsed = self.clock.now().saturating_sub(before);
             let failed = outcome.is_err();
-            self.with_health(i, |h| {
-                h.probes_attempted = h.probes_attempted.saturating_add(1);
-                if failed {
-                    h.probes_failed = h.probes_failed.saturating_add(1);
-                }
-            });
+            self.note(i, HealthEvent::Probed { failed });
             match outcome {
                 Ok(page) => {
                     successes = successes.saturating_add(1);
@@ -694,15 +714,15 @@ impl WebDatabase for FederatedWebDb {
         for member in self.members.iter() {
             member.db.reset_stats();
         }
-        // aimq-lock: use(federation-state)
-        let mut health = lock_stats(&self.health);
-        for h in health.iter_mut() {
-            let name = std::mem::take(&mut h.name);
-            *h = SourceHealth {
-                name,
-                ..SourceHealth::default()
-            };
-        }
+        self.health.with((), |health, ()| {
+            for h in health.iter_mut() {
+                let name = std::mem::take(&mut h.name);
+                *h = SourceHealth {
+                    name,
+                    ..SourceHealth::default()
+                };
+            }
+        });
     }
 
     fn source_health(&self) -> Option<Vec<SourceHealth>> {

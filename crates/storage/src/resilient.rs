@@ -12,13 +12,12 @@
 //! half-opens after `breaker_cooldown` rejected probes (or earlier, if
 //! backoff elsewhere moved the clock forward).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use aimq_catalog::{Counter, Schema, SelectionQuery};
+use aimq_catalog::{Counter, Leaf, Plain, Schema, SelectionQuery};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::web::lock_stats;
 use crate::{AccessStats, QueryError, QueryPage, WebDatabase};
 
 /// A monotone virtual clock counting abstract ticks.
@@ -45,6 +44,9 @@ impl VirtualClock {
         self.ticks.add(ticks);
     }
 }
+
+/// A tick counter: reading or advancing it never blocks.
+impl Plain for VirtualClock {}
 
 /// Retry, backoff, breaker and budget knobs of [`ResilientWebDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +118,109 @@ struct ResilientState {
     report: ResilienceReport,
 }
 
+/// Breaker, budget and jitter bookkeeping.
+impl Plain for ResilientState {}
+/// Retry knobs.
+impl Plain for RetryPolicy {}
+
+/// Whether [`ResilientState::admit`] lets the next attempt through.
+enum Admission {
+    /// Issue the attempt (it is already counted).
+    Go,
+    /// The breaker is open: fail fast and advance the clock one tick.
+    BreakerOpen,
+    /// The probe budget is spent: fail fast.
+    OverBudget,
+}
+
+impl ResilientState {
+    /// Admit the next attempt: fail fast while the breaker is open
+    /// (half-opening it once the cooldown elapsed) or once the budget,
+    /// which retries spend too, is gone; otherwise count the attempt.
+    fn admit(&mut self, (policy, clock): (&RetryPolicy, &VirtualClock)) -> Admission {
+        if let Some(until) = self.open_until {
+            if clock.now() < until {
+                self.report.fast_failures = self.report.fast_failures.saturating_add(1);
+                return Admission::BreakerOpen;
+            }
+            self.open_until = None;
+            self.consecutive_failures = 0;
+            self.half_open = true;
+        }
+        if let Some(budget) = policy.probe_budget {
+            if self.report.attempts >= budget {
+                self.report.fast_failures = self.report.fast_failures.saturating_add(1);
+                return Admission::OverBudget;
+            }
+        }
+        self.report.attempts = self.report.attempts.saturating_add(1);
+        Admission::Go
+    }
+
+    /// Record a successful attempt; a successful half-open trial closes
+    /// the breaker as a recovery.
+    fn note_success(&mut self, (): ()) {
+        self.consecutive_failures = 0;
+        if std::mem::take(&mut self.half_open) {
+            self.report.breaker_recoveries = self.report.breaker_recoveries.saturating_add(1);
+        }
+    }
+
+    /// Record failed attempt number `retries + 1` and decide what comes
+    /// next: `Some(wait)` ticks of backoff before the next retry, or
+    /// `None` to give up (a terminal error, retries exhausted, or an
+    /// open breaker).
+    fn retry_after(
+        &mut self,
+        (policy, clock, retries, error): (&RetryPolicy, &VirtualClock, u32, QueryError),
+    ) -> Option<u64> {
+        self.note_failure(policy, clock);
+        let breaker_opened = self.open_until.is_some();
+        if !error.is_retryable() || retries >= policy.max_retries || breaker_opened {
+            return None;
+        }
+        self.report.retries = self.report.retries.saturating_add(1);
+        Some(self.backoff(policy, retries.saturating_add(1), error))
+    }
+
+    /// Backoff + jitter before retry number `attempt` (1-based), honoring
+    /// a rate-limit hint when present.
+    fn backoff(&mut self, policy: &RetryPolicy, attempt: u32, error: QueryError) -> u64 {
+        let base = if let QueryError::RateLimited { retry_after } = error {
+            retry_after.max(1)
+        } else {
+            let exp = policy
+                .base_backoff
+                .saturating_mul(1u64 << attempt.saturating_sub(1).min(62));
+            exp.clamp(1, policy.max_backoff.max(1))
+        };
+        let jitter = if policy.max_jitter > 0 {
+            self.rng.random_range(0..=policy.max_jitter)
+        } else {
+            0
+        };
+        base.saturating_add(jitter)
+    }
+
+    /// Record a failed attempt; trips the breaker at the threshold. A
+    /// failed half-open trial re-opens the breaker immediately with a
+    /// fresh cooldown — the source has not proven itself healthy, so it
+    /// does not get `breaker_threshold` fresh failures of grace.
+    fn note_failure(&mut self, policy: &RetryPolicy, clock: &VirtualClock) {
+        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+        if policy.breaker_threshold == 0 {
+            return;
+        }
+        let failed_trial = std::mem::take(&mut self.half_open);
+        if (failed_trial || self.consecutive_failures >= policy.breaker_threshold)
+            && self.open_until.is_none()
+        {
+            self.open_until = Some(clock.now().saturating_add(policy.breaker_cooldown));
+            self.report.breaker_trips = self.report.breaker_trips.saturating_add(1);
+        }
+    }
+}
+
 /// A [`WebDatabase`] decorator implementing the client half of the fault
 /// model: retry with backoff and jitter over a [`VirtualClock`], a
 /// consecutive-failure circuit breaker, and a per-session probe budget.
@@ -126,9 +231,7 @@ pub struct ResilientWebDb<D> {
     inner: D,
     policy: RetryPolicy,
     clock: Arc<VirtualClock>,
-    // aimq-lock: family(resilient-state) -- guards breaker/budget/report
-    // bookkeeping; released before every probe of the inner database
-    state: Arc<Mutex<ResilientState>>,
+    state: Arc<Leaf<ResilientState>>,
 }
 
 impl<D: WebDatabase> ResilientWebDb<D> {
@@ -144,7 +247,7 @@ impl<D: WebDatabase> ResilientWebDb<D> {
             inner,
             policy,
             clock,
-            state: Arc::new(Mutex::new(ResilientState {
+            state: Arc::new(Leaf::new(ResilientState {
                 rng: StdRng::seed_from_u64(policy.jitter_seed),
                 consecutive_failures: 0,
                 open_until: None,
@@ -171,57 +274,14 @@ impl<D: WebDatabase> ResilientWebDb<D> {
 
     /// Snapshot of the resilience counters.
     pub fn report(&self) -> ResilienceReport {
-        lock_stats(&self.state).report
+        self.state.with((), |state, ()| state.report)
     }
 
     /// `true` while the breaker is open (cooldown not yet elapsed).
     pub fn breaker_open(&self) -> bool {
-        let state = lock_stats(&self.state);
-        state
-            .open_until
-            .is_some_and(|until| self.clock.now() < until)
-    }
-
-    /// Backoff + jitter before retry number `attempt` (1-based), honoring
-    /// a rate-limit hint when present.
-    fn wait_for(&self, state: &mut ResilientState, attempt: u32, error: QueryError) -> u64 {
-        let base = if let QueryError::RateLimited { retry_after } = error {
-            retry_after.max(1)
-        } else {
-            let exp = self
-                .policy
-                .base_backoff
-                .saturating_mul(1u64 << attempt.saturating_sub(1).min(62));
-            exp.clamp(1, self.policy.max_backoff.max(1))
-        };
-        let jitter = if self.policy.max_jitter > 0 {
-            state.rng.random_range(0..=self.policy.max_jitter)
-        } else {
-            0
-        };
-        base.saturating_add(jitter)
-    }
-
-    /// Record a failed attempt; trips the breaker at the threshold. A
-    /// failed half-open trial re-opens the breaker immediately with a
-    /// fresh cooldown — the source has not proven itself healthy, so it
-    /// does not get `breaker_threshold` fresh failures of grace.
-    fn note_failure(&self, state: &mut ResilientState) {
-        state.consecutive_failures = state.consecutive_failures.saturating_add(1);
-        if self.policy.breaker_threshold == 0 {
-            return;
-        }
-        let failed_trial = std::mem::take(&mut state.half_open);
-        if (failed_trial || state.consecutive_failures >= self.policy.breaker_threshold)
-            && state.open_until.is_none()
-        {
-            state.open_until = Some(
-                self.clock
-                    .now()
-                    .saturating_add(self.policy.breaker_cooldown),
-            );
-            state.report.breaker_trips = state.report.breaker_trips.saturating_add(1);
-        }
+        self.state.with(&*self.clock, |state, clock| {
+            state.open_until.is_some_and(|until| clock.now() < until)
+        })
     }
 }
 
@@ -232,56 +292,32 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
 
     // aimq-probe: entry -- retry/breaker wrapper; every attempt and rejection is metered in ResilienceReport
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-        let mut attempt: u32 = 0;
+        let mut retries: u32 = 0;
         loop {
-            {
-                let mut state = lock_stats(&self.state);
-                // Fast-fail while the breaker is open; each rejection
-                // advances virtual time one tick (see module docs).
-                if let Some(until) = state.open_until {
-                    if self.clock.now() < until {
-                        state.report.fast_failures = state.report.fast_failures.saturating_add(1);
-                        drop(state);
-                        self.clock.advance(1);
-                        return Err(QueryError::Unavailable);
-                    }
-                    // Cooldown elapsed: half-open, admit one trial.
-                    state.open_until = None;
-                    state.consecutive_failures = 0;
-                    state.half_open = true;
+            let admission = self
+                .state
+                .with((&self.policy, &*self.clock), ResilientState::admit);
+            match admission {
+                Admission::Go => {}
+                // Each rejection advances virtual time one tick (see
+                // module docs).
+                Admission::BreakerOpen => {
+                    self.clock.advance(1);
+                    return Err(QueryError::Unavailable);
                 }
-                // Probe budget is spent per attempt, retries included.
-                if let Some(budget) = self.policy.probe_budget {
-                    if state.report.attempts >= budget {
-                        state.report.fast_failures = state.report.fast_failures.saturating_add(1);
-                        return Err(QueryError::Unavailable);
-                    }
-                }
-                state.report.attempts = state.report.attempts.saturating_add(1);
+                Admission::OverBudget => return Err(QueryError::Unavailable),
             }
-
             match self.inner.try_query(query) {
                 Ok(page) => {
-                    let mut state = lock_stats(&self.state);
-                    state.consecutive_failures = 0;
-                    if std::mem::take(&mut state.half_open) {
-                        state.report.breaker_recoveries =
-                            state.report.breaker_recoveries.saturating_add(1);
-                    }
+                    self.state.with((), ResilientState::note_success);
                     return Ok(page);
                 }
                 Err(error) => {
-                    let mut state = lock_stats(&self.state);
-                    self.note_failure(&mut state);
-                    let breaker_opened = state.open_until.is_some();
-                    if !error.is_retryable() || attempt >= self.policy.max_retries || breaker_opened
-                    {
+                    let input = (&self.policy, &*self.clock, retries, error);
+                    let Some(wait) = self.state.with(input, ResilientState::retry_after) else {
                         return Err(error);
-                    }
-                    attempt = attempt.saturating_add(1);
-                    state.report.retries = state.report.retries.saturating_add(1);
-                    let wait = self.wait_for(&mut state, attempt, error);
-                    drop(state);
+                    };
+                    retries = retries.saturating_add(1);
                     self.clock.advance(wait);
                 }
             }
@@ -290,23 +326,22 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
 
     fn stats(&self) -> AccessStats {
         let inner = self.inner.stats();
-        let state = lock_stats(&self.state);
+        let report = self.report();
         AccessStats {
-            retries: inner.retries.saturating_add(state.report.retries),
-            failures: inner.failures.saturating_add(state.report.fast_failures),
-            breaker_trips: inner
-                .breaker_trips
-                .saturating_add(state.report.breaker_trips),
+            retries: inner.retries.saturating_add(report.retries),
+            failures: inner.failures.saturating_add(report.fast_failures),
+            breaker_trips: inner.breaker_trips.saturating_add(report.breaker_trips),
             breaker_recoveries: inner
                 .breaker_recoveries
-                .saturating_add(state.report.breaker_recoveries),
+                .saturating_add(report.breaker_recoveries),
             ..inner
         }
     }
 
     fn reset_stats(&self) {
         self.inner.reset_stats();
-        lock_stats(&self.state).report = ResilienceReport::default();
+        self.state
+            .with((), |state, ()| state.report = ResilienceReport::default());
     }
 
     fn source_health(&self) -> Option<Vec<crate::SourceHealth>> {
@@ -470,14 +505,14 @@ mod tests {
     /// half-open tests fully deterministic fault timing.
     struct ScriptedDb {
         inner: InMemoryWebDb,
-        script: Mutex<std::collections::VecDeque<bool>>,
+        script: Leaf<std::collections::VecDeque<bool>>,
     }
 
     impl ScriptedDb {
         fn failing_first(failures: &[bool]) -> Self {
             ScriptedDb {
                 inner: base_db(),
-                script: Mutex::new(failures.iter().copied().collect()),
+                script: Leaf::new(failures.iter().copied().collect()),
             }
         }
     }
@@ -488,7 +523,7 @@ mod tests {
         }
 
         fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-            let fail = lock_stats(&self.script).pop_front().unwrap_or(false);
+            let fail = self.script.with((), |s, ()| s.pop_front().unwrap_or(false));
             if fail {
                 Err(QueryError::Transient)
             } else {
@@ -647,6 +682,42 @@ mod tests {
         // The inner source never saw the 4th query.
         assert_eq!(db.inner().stats().queries_issued, 3);
         assert_eq!(db.stats().failures, 1);
+    }
+
+    /// Budget conservation under concurrency: W threads race M probes
+    /// each through one shared wrapper whose budget B is below W·M. Every
+    /// admission decision is one `Leaf` section, so exactly B attempts
+    /// get through, every other probe fails fast, and the inner source
+    /// sees exactly the admitted attempts.
+    #[test]
+    fn probe_budget_is_conserved_under_concurrent_probes() {
+        const W: u64 = 4;
+        const M: u64 = 60;
+        const B: u64 = 150;
+        let db = ResilientWebDb::new(
+            base_db(),
+            RetryPolicy {
+                probe_budget: Some(B),
+                ..RetryPolicy::default()
+            },
+        );
+        let served: u64 = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..W)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..M)
+                            .filter(|_| db.try_query(&SelectionQuery::all()).is_ok())
+                            .count() as u64
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let report = db.report();
+        assert_eq!(report.attempts, B, "{report:?}");
+        assert_eq!(report.attempts + report.fast_failures, W * M, "{report:?}");
+        assert_eq!(served, B);
+        assert_eq!(db.inner().stats().queries_issued, B);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use aimq_catalog::{Json, Schema, SelectionQuery, Tuple};
+use aimq_catalog::{Json, Plain, Schema, SelectionQuery, Tuple};
 use serde::{Deserialize, Serialize};
 
 use crate::{execute, Relation, StatsCell};
@@ -66,6 +66,11 @@ pub struct QueryPage {
     /// `true` when the source clipped the answer set to its page limit.
     pub truncated: bool,
 }
+
+/// A fault tag.
+impl Plain for QueryError {}
+/// Owned tuples and a flag.
+impl Plain for QueryPage {}
 
 impl QueryPage {
     /// A complete (untruncated) page.
@@ -188,14 +193,6 @@ impl AccessStats {
     }
 }
 
-/// Lock a stats mutex, recovering from poisoning instead of panicking:
-/// the protected value is a plain counter block, always valid.
-pub(crate) fn lock_stats<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // aimq-lint: allow(lock-discipline) -- generic helper; the lock family
-    // is attributed at each call site, not here
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The autonomous Web database interface of the paper (Section 3.1).
 ///
 /// Implementations expose *only* the boolean query-processing model: given
@@ -210,7 +207,7 @@ pub(crate) fn lock_stats<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Implementations must be `Send + Sync`: the serving runtime
 /// (`aimq-serve`) shares one decorated source across a pool of worker
 /// threads, each probing through `&self`. Every implementation in this
-/// crate carries its mutable state behind `Arc<Mutex<_>>` or atomics, so
+/// crate carries its mutable state behind `Arc<Leaf<_>>` or atomics, so
 /// the bound is structural, not a burden.
 pub trait WebDatabase: Send + Sync {
     /// The relation schema the database projects (Web form fields).

@@ -1,13 +1,9 @@
-//! Workspace call-graph construction and reachability fixpoints.
-//!
-//! Both interprocedural rule families — L5 `lock-discipline` (which
-//! lock families may a call transitively acquire?) and L8
-//! `probe-effect` (which functions may transitively reach the
-//! `WebDatabase::try_query` boundary?) — need the same machinery: merge
-//! same-name functions across files into one summary (trait impls union
-//! their effects — conservative but sound for both analyses), then
-//! iterate caller ← callee propagation to a fixpoint. This module holds
-//! that shared core so the two rules cannot drift apart.
+//! Workspace call-graph construction and the reachability fixpoint of
+//! L8 `probe-effect`: which functions may transitively reach the
+//! `WebDatabase::try_query` boundary? Same-name functions merge across
+//! files into one summary (trait impls union their effects —
+//! conservative but sound), then caller ← callee propagation runs to a
+//! fixpoint.
 //!
 //! The graph is name-based, not path-based: a hand-rolled lexical scan
 //! cannot resolve method receivers, so `inner.try_query(..)` and
@@ -22,8 +18,7 @@ use crate::structure::FileAnalysis;
 /// Callee names too generic to resolve through the workspace call
 /// graph: std-alike methods (`len`, `clear`, `insert`, ...) that would
 /// otherwise alias unrelated workspace functions and fabricate edges
-/// (e.g. `pages.len()` under a stripe guard aliasing `CachedWebDb::len`,
-/// which acquires the same stripe family).
+/// (e.g. `pages.len()` aliasing `CachedWebDb::len`).
 pub const CALLEE_BLOCKLIST: &[&str] = &[
     "new",
     "default",
@@ -99,51 +94,6 @@ impl CallGraph {
             }
         }
         CallGraph { calls }
-    }
-
-    /// Least fixpoint of a fact lattice over the graph: starting from
-    /// `seeds` (per-function base facts), propagate callee facts into
-    /// callers until nothing changes. Returns the closed fact map —
-    /// the facts a call to each function may transitively exercise.
-    ///
-    /// L5 instantiates facts as lock-family names (may-acquire); any
-    /// set-valued effect works.
-    pub fn reach_facts(
-        &self,
-        seeds: &BTreeMap<String, BTreeSet<String>>,
-    ) -> BTreeMap<String, BTreeSet<String>> {
-        let mut facts: BTreeMap<String, BTreeSet<String>> = self
-            .calls
-            .keys()
-            .map(|name| (name.clone(), seeds.get(name).cloned().unwrap_or_default()))
-            .collect();
-        loop {
-            let mut changed = false;
-            let additions: Vec<(String, BTreeSet<String>)> = self
-                .calls
-                .iter()
-                .map(|(name, callees)| {
-                    let mut add = BTreeSet::new();
-                    for callee in callees {
-                        if let Some(fs) = facts.get(callee.as_str()) {
-                            add.extend(fs.iter().cloned());
-                        }
-                    }
-                    (name.clone(), add)
-                })
-                .collect();
-            for (name, add) in additions {
-                if let Some(set) = facts.get_mut(&name) {
-                    for fact in add {
-                        changed |= set.insert(fact);
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        facts
     }
 
     /// Boolean reachability: every function that can transitively call
@@ -238,16 +188,6 @@ mod tests {
         let callees = g.calls.get("f").unwrap();
         assert!(!callees.contains("len"));
         assert!(callees.contains("real_helper"));
-    }
-
-    #[test]
-    fn reach_facts_closes_over_chains() {
-        let g = graph(&["fn leaf() { acquire_a(); }\nfn mid() { leaf(); }\nfn top() { mid(); }"]);
-        let mut seeds: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        seeds.insert("leaf".into(), ["a".to_string()].into_iter().collect());
-        let facts = g.reach_facts(&seeds);
-        assert!(facts.get("top").unwrap().contains("a"));
-        assert!(facts.get("mid").unwrap().contains("a"));
     }
 
     #[test]

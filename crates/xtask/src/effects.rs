@@ -3,20 +3,21 @@
 //! The rule infers, via a boolean reachability fixpoint over the shared
 //! [`crate::callgraph`], the set of functions that can transitively
 //! reach the `WebDatabase::try_query` boundary ("probing" functions).
-//! Three findings follow: a probing path anywhere in the probe-free
-//! crates ([`PROBE_FREE_CRATES`]), a probing call made while a lock
-//! guard is live (composing with the L5 scope tracker; direct blocking
-//! calls stay L5's), and a function that calls `try_query` directly
-//! without an `// aimq-probe: entry -- <why>` annotation. Stale
-//! annotations — pointing at a function that no longer probes — are
-//! errors too, so the annotated entry-point list stays exact.
+//! Two findings follow: a probing path anywhere in the probe-free
+//! crates ([`PROBE_FREE_CRATES`]), and a function that calls
+//! `try_query` directly without an `// aimq-probe: entry -- <why>`
+//! annotation. Stale annotations — pointing at a function that no
+//! longer probes — are errors too, so the annotated entry-point list
+//! stays exact. (A probe under a lock needs no finding: an
+//! `aimq_catalog::Leaf` section is a `fn` over plain data, so rustc
+//! rejects one.)
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, CALLEE_BLOCKLIST};
 use crate::rules::Finding;
 use crate::source::ScannedFile;
-use crate::structure::{FileAnalysis, BLOCKING_CALLS};
+use crate::structure::FileAnalysis;
 
 /// Crates that must never reach the probing boundary: mining and
 /// statistics passes assume a consistent snapshot of the source, so
@@ -31,11 +32,6 @@ const PROBE_FREE_HELP: &str =
     "mining/similarity crates must stay probe-free: route source I/O through the storage \
      boundary (sampler/cache) instead, or justify with \
      `// aimq-lint: allow(probe-effect) -- <why>` on the `fn` line";
-
-const GUARD_HELP: &str =
-    "a probe can spend unbounded retry/deadline time; drop (or scope) the guard before the \
-     probing call, or justify with `// aimq-lint: allow(probe-effect) -- <why the wait is \
-     bounded>`";
 
 const ENTRY_HELP: &str =
     "annotate with `// aimq-probe: entry -- <where budget/degradation accounting lives>` on \
@@ -53,7 +49,7 @@ pub struct EffectsFile<'a> {
     pub crate_name: &'a str,
     /// Lexical scan (tokens, test regions, directives).
     pub scanned: &'a ScannedFile,
-    /// Structural facts (functions, fields, held calls).
+    /// Structural facts (functions and their callees).
     pub analysis: &'a FileAnalysis,
 }
 
@@ -139,38 +135,6 @@ pub fn check_workspace(files: &[EffectsFile]) -> EffectsReport {
                         },
                     ));
                 }
-            }
-            // Probing call while a guard is live. Direct blocking calls
-            // (`try_query` itself, `query`, ...) are already L5 findings;
-            // this catches probes hidden behind a helper.
-            for call in &f.held_calls {
-                let callee = call.callee.as_str();
-                if BLOCKING_CALLS.contains(&callee)
-                    || CALLEE_BLOCKLIST.contains(&callee)
-                    || !probing.contains(callee)
-                {
-                    continue;
-                }
-                report.findings.push((
-                    file.idx,
-                    Finding {
-                        rule: "probe-effect",
-                        line: call.line,
-                        col: call.col,
-                        message: format!(
-                            "call to `{callee}` may probe the source ({}) while holding \
-                             guard(s) of family {} in `{}`",
-                            chain_of(callee),
-                            call.held
-                                .iter()
-                                .map(|h| format!("`{h}`"))
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            f.name
-                        ),
-                        help: GUARD_HELP,
-                    },
-                ));
             }
             // Entry-point discipline: a direct boundary call must carry
             // an annotation (pointless in probe-free crates, where the
@@ -330,28 +294,5 @@ mod tests {
             "{msgs:#?}"
         );
         assert!(msgs.iter().any(|m| m.contains("stale")), "{msgs:#?}");
-    }
-
-    #[test]
-    fn probing_helper_call_under_guard_is_flagged() {
-        let report = run(&[(
-            "storage",
-            "struct S {\n\
-             // aimq-lock: family(memo) -- guards the memo\n\
-             state: Mutex<u32>,\n\
-             }\n\
-             impl S {\n\
-             // aimq-probe: entry -- forwards to the boundary\n\
-             fn refresh(&self, q: &Q) -> u32 { self.inner.try_query(q) }\n\
-             fn locked(&self, q: &Q) -> u32 { let g = lock(&self.state); self.refresh(q) }\n\
-             }\n",
-        )]);
-        let msgs = messages(&report);
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("`refresh` may probe the source")
-                    && m.contains("while holding guard(s) of family `memo`")),
-            "{msgs:#?}"
-        );
     }
 }

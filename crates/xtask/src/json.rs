@@ -59,13 +59,13 @@ mod tests {
         LintReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "lock-discipline".into(),
-                    path: PathBuf::from("crates/serve/src/queue.rs"),
+                    rule: "probe-effect".into(),
+                    path: PathBuf::from("crates/storage/src/cache.rs"),
                     line: 40,
                     col: 12,
-                    message: "guard held across `recv`, \"quoted\"".into(),
-                    snippet: "    let s = lock(&self.state);".into(),
-                    help: "drop the guard first".into(),
+                    message: "`refresh` is not annotated, \"quoted\"".into(),
+                    snippet: "    fn refresh(&self) {".into(),
+                    help: "annotate the entry point".into(),
                 },
                 Diagnostic {
                     rule: "indexing".into(),
@@ -88,7 +88,7 @@ mod tests {
         let lines: Vec<&str> = ann.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(
-            lines[0].starts_with("::error file=crates/serve/src/queue.rs,line=40,col=12,"),
+            lines[0].starts_with("::error file=crates/storage/src/cache.rs,line=40,col=12,"),
             "{ann}"
         );
         assert!(
@@ -97,6 +97,6 @@ mod tests {
         );
         // Message text rides after the `::` separator unescaped except
         // for %, CR, LF.
-        assert!(lines[0].contains("guard held across `recv`"), "{ann}");
+        assert!(lines[0].contains("`refresh` is not annotated"), "{ann}");
     }
 }

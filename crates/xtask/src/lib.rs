@@ -11,11 +11,14 @@
 //! discipline (`#[must_use]` on the fault enums plus the
 //! `let_underscore_*`, `unused_result_ok` and wildcard-match lints),
 //! atomics (the raw types are banned outside three audited modules;
-//! `aimq_catalog::Counter` and `Flag` fix the orderings), counter
-//! arithmetic (`clippy::arithmetic_side_effects`, denied at the roots
-//! of the five crates that meter, budget, serve or parse outside
-//! input), and the HTTP error surface (the `ErrorCode` enum in
-//! `crates/http`, checked against DESIGN.md by a unit test).
+//! `aimq_catalog::Counter` and `Flag` fix the orderings), lock
+//! discipline (raw `Mutex`/`RwLock` are banned; an `aimq_catalog::Leaf`
+//! section is a `fn` pointer over `Plain` data, so it cannot probe,
+//! block or nest), counter arithmetic
+//! (`clippy::arithmetic_side_effects`, denied at the roots of the five
+//! crates that meter, budget, serve or parse outside input), and the
+//! HTTP error surface (the `ErrorCode` enum in `crates/http`, checked
+//! against DESIGN.md by a unit test).
 //!
 //! Two token-level rules stay here because clippy's versions would
 //! loosen them:
@@ -29,20 +32,15 @@
 //!   `PartialOrd::partial_cmp` would also fire inside every
 //!   `#[derive(PartialOrd)]`.
 //!
-//! Two more need whole-program or annotation-driven reasoning:
+//! One more needs whole-program, annotation-driven reasoning:
 //!
-//! - **L5 lock-discipline** (the `concurrency` module over facts from
-//!   `structure`): every owned `Mutex` belongs to a named lock family
-//!   (`// aimq-lock: family(..) -- why`); acquisitions are tracked
-//!   guard-by-guard, the workspace-wide family graph must stay acyclic,
-//!   and no guard may be held across a blocking call (`try_query`,
-//!   `Condvar::wait`, channel `recv`).
-//! - **L8 probe-effect** (the `effects` module, over the shared
-//!   `callgraph` fixpoint): every function that can transitively reach
-//!   `WebDatabase::try_query` is inferred; probing paths are banned in
-//!   the probe-free crates (`afd`, `sim`, `rock`, `catalog`) and under
-//!   a live lock guard, and direct boundary callers must be annotated
-//!   `// aimq-probe: entry -- <why>` (stale annotations are errors).
+//! - **L8 probe-effect** (the `effects` module, over the `callgraph`
+//!   fixpoint and the per-function calls from `structure`): every
+//!   function that can transitively reach `WebDatabase::try_query` is
+//!   inferred; probing paths are banned in the probe-free crates
+//!   (`afd`, `sim`, `rock`, `catalog`), and direct boundary callers
+//!   must be annotated `// aimq-probe: entry -- <why>` (stale
+//!   annotations are errors).
 //!
 //! The JSON wire contract is pinned outside xtask, by rendering it:
 //! `tests/wire_golden.rs` runs every `to_json()` on fixed samples and
@@ -62,7 +60,6 @@
 )]
 
 pub mod callgraph;
-pub mod concurrency;
 pub mod effects;
 pub mod json;
 pub mod rules;
@@ -75,8 +72,7 @@ use std::path::{Path, PathBuf};
 
 use aimq_catalog::Json;
 
-/// Library crates under the `indexing`, float-ordering and concurrency
-/// rules (each also denies clippy's panic lints at its root). `http`
+/// Library crates under the `indexing` and float-ordering rules (each also denies clippy's panic lints at its root). `http`
 /// joined with the network front door: a malformed request or a dying
 /// socket must become a typed 400/transport error, never a panic in a
 /// connection thread.
@@ -145,49 +141,23 @@ impl LintReport {
 /// Pass 1 walks every `.rs` file under `crates/<name>/src/` (except
 /// `xtask` itself, whose docs quote directive syntax verbatim), runs
 /// the per-file rules on the [`PANIC_CRATES`], and retains the
-/// structural facts. Pass 2 runs the workspace-wide checks over those
-/// facts (lock ordering, effects), with pass-2 findings filtered
-/// through each file's own suppressions.
+/// structural facts. Pass 2 runs the workspace-wide effect check over
+/// those facts, with its findings filtered through each file's own
+/// suppressions.
 pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let entries = scan_workspace(root)?;
 
     for entry in &entries {
         if PANIC_CRATES.contains(&entry.crate_name.as_str()) {
-            lint_scanned(
-                &entry.scanned,
-                &entry.analysis,
-                &entry.lines,
-                &entry.rel,
-                &mut report,
-            );
+            lint_scanned(&entry.scanned, &entry.lines, &entry.rel, &mut report);
         }
     }
 
-    // Pass 2a: workspace lock-ordering graph over the concurrency-scoped
-    // crates.
-    let conc: Vec<(usize, &structure::FileAnalysis)> = entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| PANIC_CRATES.contains(&e.crate_name.as_str()))
-        .map(|(i, e)| (i, &e.analysis))
-        .collect();
-    let mut late: Vec<(usize, Finding)> = concurrency::check_workspace(&conc);
-
-    // Pass 2b: the effect-system rule (L8 probe-effect over the shared
-    // call graph) over every crate — bins and eval included, which the
+    // Pass 2: the effect-system rule (L8 probe-effect over the call
+    // graph) over every crate — bins and eval included, which the
     // per-file rules skip.
-    let eff_files: Vec<effects::EffectsFile> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| effects::EffectsFile {
-            idx: i,
-            crate_name: e.crate_name.as_str(),
-            scanned: &e.scanned,
-            analysis: &e.analysis,
-        })
-        .collect();
-    late.extend(effects::check_workspace(&eff_files).findings);
+    let late = effects::check_workspace(&effects_files(&entries)).findings;
 
     for (idx, finding) in late {
         let entry = &entries[idx];
@@ -287,10 +257,9 @@ pub struct ProbeSummary {
     pub probing_by_crate: std::collections::BTreeMap<String, std::collections::BTreeSet<String>>,
 }
 
-/// Compute the L8 probe-effect summary for the workspace at `root`.
-pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
-    let entries = scan_workspace(root)?;
-    let eff_files: Vec<effects::EffectsFile> = entries
+/// The effect pass's view of every scanned file.
+fn effects_files(entries: &[Entry]) -> Vec<effects::EffectsFile<'_>> {
+    entries
         .iter()
         .enumerate()
         .map(|(i, e)| effects::EffectsFile {
@@ -299,8 +268,13 @@ pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
             scanned: &e.scanned,
             analysis: &e.analysis,
         })
-        .collect();
-    let report = effects::check_workspace(&eff_files);
+        .collect()
+}
+
+/// Compute the L8 probe-effect summary for the workspace at `root`.
+pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
+    let entries = scan_workspace(root)?;
+    let report = effects::check_workspace(&effects_files(&entries));
     let mut out = ProbeSummary {
         probing_by_crate: report.probing_by_crate,
         ..ProbeSummary::default()
@@ -329,23 +303,18 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint one library-crate file's text, appending to `report`.
-/// Standalone entry point (tests, single-file use); [`lint_root`]
-/// drives the shared implementation directly so it can retain the
-/// structural facts for the workspace passes.
+/// Lint one library-crate file's text with the per-file rules,
+/// appending to `report` (tests, single-file use).
 pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
     let scanned = source::scan(text);
-    let analysis = structure::analyze(&scanned);
     let lines: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
-    lint_scanned(&scanned, &analysis, &lines, rel_path, report);
+    lint_scanned(&scanned, &lines, rel_path, report);
 }
 
-/// Per-file pass over pre-scanned facts: directive hygiene, the
-/// token-level rules (`indexing`, float-ordering), and the file-local
-/// half of L5.
+/// Per-file pass over pre-scanned facts: directive hygiene and the
+/// token-level rules (`indexing`, float-ordering).
 fn lint_scanned(
     scanned: &source::ScannedFile,
-    analysis: &structure::FileAnalysis,
     lines: &[String],
     rel_path: &Path,
     report: &mut LintReport,
@@ -391,9 +360,7 @@ fn lint_scanned(
         }
     }
 
-    let mut findings = rules::check(scanned);
-    findings.extend(concurrency::check_file(analysis));
-    for finding in findings {
+    for finding in rules::check(scanned) {
         if scanned.is_allowed(finding.rule, finding.line) {
             continue;
         }

@@ -4,20 +4,18 @@
 //! |---|---|---|
 //! | `indexing` | eight library crates | direct `expr[...]` indexing/slicing |
 //! | `float-ordering` | eight library crates | `.partial_cmp(` calls on scores |
-//! | `lock-discipline` | eight library crates | unannotated lock fields, unresolvable/nested acquisitions that close ordering cycles, guards held across blocking calls |
-//! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, probes under a live guard, unannotated or stale probing entry points |
+//! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, unannotated or stale probing entry points |
 //! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
 //! Every finding is an error. Panic-freedom, hash containers, the wall
-//! clock, the crate DAG, fault discipline, atomics, counter arithmetic
-//! and the HTTP error surface are not here: rustc, clippy, Cargo and
-//! the type system enforce them. Nor is the JSON wire contract, which
+//! clock, the crate DAG, fault discipline, atomics, lock discipline,
+//! counter arithmetic and the HTTP error surface are not here: rustc,
+//! clippy, Cargo and the type system enforce them. Nor is the JSON wire contract, which
 //! `tests/wire_golden.rs` pins by rendering every `to_json()` (see
 //! DESIGN.md, "Static analysis & invariants").
 //!
-//! The structure-aware family L5 `lock-discipline` lives in
-//! [`crate::concurrency`] (facts from [`crate::structure`]); L8 lives
-//! in [`crate::effects`]. They are listed here so suppression,
+//! The structure-aware L8 `probe-effect` lives in [`crate::effects`]
+//! (facts from [`crate::structure`]). It is listed here so suppression,
 //! `--explain`, and the doc table stay in one registry.
 
 use crate::source::ScannedFile;
@@ -102,12 +100,7 @@ pub fn check(file: &ScannedFile) -> Vec<Finding> {
 }
 
 /// Every rule id accepted inside `aimq-lint: allow(...)`.
-pub const KNOWN_RULES: &[&str] = &[
-    "indexing",
-    "float-ordering",
-    "lock-discipline",
-    "probe-effect",
-];
+pub const KNOWN_RULES: &[&str] = &["indexing", "float-ordering", "probe-effect"];
 
 /// One registry entry backing `cargo xtask lint --explain <rule>` and
 /// the doc-drift self-test over the module-doc table above.
@@ -149,30 +142,17 @@ pub const RULES: &[RuleInfo] = &[
                  with `// aimq-lint: allow(float-ordering) -- <why NaN cannot occur>`.",
     },
     RuleInfo {
-        id: "lock-discipline",
-        summary: "lock fields without a family, unresolvable or cycle-closing acquisitions, \
-                  and guards held across blocking calls",
-        rationale: "the concurrent runtime shares striped caches, admission queues, and \
-                    breaker state across workers; deadlocks from inconsistent acquisition \
-                    order or probes under a guard only surface under load, so the ordering \
-                    graph is checked statically across the whole workspace.",
-        remedy: "declare `// aimq-lock: family(<name>) -- <why>` on each owned Mutex, mark \
-                 indirect acquisitions with `// aimq-lock: use(<name>)`, keep one global \
-                 acquisition order, and scope guards so they drop before blocking calls.",
-    },
-    RuleInfo {
         id: "probe-effect",
-        summary: "inferred probing paths in probe-free crates, probes made under a live lock \
-                  guard, and unannotated or stale probing entry points",
+        summary: "inferred probing paths in probe-free crates, and unannotated or stale \
+                  probing entry points",
         rationale: "every probe to an autonomous source must flow through the budgeted, \
                     degradation-aware `WebDatabase::try_query` boundary; the mining and \
                     statistics crates assume a consistent source snapshot, so a call chain \
                     from `afd`/`sim`/`rock`/`catalog` to the boundary — inferred by a \
-                    workspace may-call fixpoint — breaks the paper's sampling model, and a \
-                    probe under a lock guard serializes every worker behind source latency.",
+                    workspace may-call fixpoint — breaks the paper's sampling model.",
         remedy: "route source I/O through the storage layer; annotate each direct boundary \
-                 caller with `// aimq-probe: entry -- <where budget accounting lives>`; drop \
-                 guards before probing; justify residues with \
+                 caller with `// aimq-probe: entry -- <where budget accounting lives>`; \
+                 justify residues with \
                  `// aimq-lint: allow(probe-effect) -- <why>`.",
     },
     RuleInfo {

@@ -44,8 +44,6 @@ pub struct ScannedFile {
     pub test_regions: Vec<(usize, usize)>,
     /// Parsed suppression directives.
     pub allows: Vec<AllowDirective>,
-    /// Parsed `aimq-lock:` family/use annotations.
-    pub lock_directives: Vec<LockDirective>,
     /// Parsed `aimq-probe: entry` annotations (L8 probe effects).
     pub probe_directives: Vec<ProbeDirective>,
     /// Malformed directives (missing justification, bad syntax).
@@ -62,31 +60,6 @@ pub struct AllowDirective {
     /// Rule identifiers inside `allow(...)`.
     pub rules: Vec<String>,
     /// Justification text after `--`.
-    pub justification: String,
-}
-
-/// What an `aimq-lock:` annotation asserts (L5 lock discipline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LockAnnotation {
-    /// `family(<name>)` on a `Mutex` field declaration: every guard of
-    /// that field belongs to the named workspace-global lock family.
-    Family(String),
-    /// `use(<name>)` on an acquisition site whose receiver the scanner
-    /// cannot trace back to an annotated field (e.g. a local borrowed
-    /// out of a helper): asserts the acquired family explicitly.
-    Use(String),
-}
-
-/// A parsed `// aimq-lock: family(..) -- why` / `// aimq-lock: use(..)`.
-#[derive(Debug, Clone)]
-pub struct LockDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code the annotation applies to (1-based).
-    pub target_line: usize,
-    /// Family declaration or acquisition-site assertion.
-    pub annotation: LockAnnotation,
-    /// Justification text after `--` (required for `family`).
     pub justification: String,
 }
 
@@ -108,7 +81,6 @@ pub struct ProbeDirective {
 }
 
 const DIRECTIVE: &str = "aimq-lint:";
-const LOCK_DIRECTIVE: &str = "aimq-lock:";
 const PROBE_DIRECTIVE: &str = "aimq-probe:";
 
 /// Scan `text` into classes, tokens, test regions and suppressions.
@@ -122,7 +94,6 @@ pub fn scan(text: &str) -> ScannedFile {
         tokens,
         test_regions,
         allows: directives.allows,
-        lock_directives: directives.locks,
         probe_directives: directives.probes,
         bad_directives: directives.bad,
     }
@@ -418,7 +389,6 @@ fn match_attr(tokens: &[Token], k: usize, inner: &[&str]) -> Option<usize> {
 /// Everything `collect_directives` extracts from the comment channel.
 struct Directives {
     allows: Vec<AllowDirective>,
-    locks: Vec<LockDirective>,
     probes: Vec<ProbeDirective>,
     bad: Vec<(usize, String)>,
 }
@@ -426,7 +396,6 @@ struct Directives {
 fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
     let mut out = Directives {
         allows: Vec::new(),
-        locks: Vec::new(),
         probes: Vec::new(),
         bad: Vec::new(),
     };
@@ -480,17 +449,6 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
                 }),
                 Err(msg) => out.bad.push((line, msg)),
             }
-        } else if let Some(pos) = comment.find(LOCK_DIRECTIVE) {
-            let body = comment[pos + LOCK_DIRECTIVE.len()..].trim();
-            match parse_lock(body) {
-                Ok((annotation, justification)) => out.locks.push(LockDirective {
-                    line,
-                    target_line: target_of(idx),
-                    annotation,
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
         } else if let Some(pos) = comment.find(PROBE_DIRECTIVE) {
             let body = comment[pos + PROBE_DIRECTIVE.len()..].trim();
             match parse_probe(body) {
@@ -535,53 +493,6 @@ fn parse_allow(body: &str) -> Result<(Vec<String>, String), String> {
         );
     }
     Ok((rules, justification.to_string()))
-}
-
-/// Validate a family name: lowercase kebab-case identifiers only, so
-/// families read as workspace-global class names (`cache-stripe`).
-fn valid_family_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_')
-}
-
-/// Parse `family(<name>) -- why` or `use(<name>) [-- why]`.
-fn parse_lock(body: &str) -> Result<(LockAnnotation, String), String> {
-    let (kind, rest) = if let Some(rest) = body.strip_prefix("family") {
-        ("family", rest.trim_start())
-    } else if let Some(rest) = body.strip_prefix("use") {
-        ("use", rest.trim_start())
-    } else {
-        return Err(format!(
-            "expected `family(<name>)` or `use(<name>)` after `{LOCK_DIRECTIVE}`"
-        ));
-    };
-    let rest = rest
-        .strip_prefix('(')
-        .ok_or_else(|| format!("expected `(` after `{kind}`"))?;
-    let close = rest
-        .find(')')
-        .ok_or_else(|| format!("unclosed `{kind}(` directive"))?;
-    let name = rest[..close].trim().to_string();
-    if !valid_family_name(&name) {
-        return Err(format!(
-            "lock family name `{name}` must be non-empty lowercase kebab-case"
-        ));
-    }
-    let tail = rest[close + 1..].trim();
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if kind == "family" && justification.is_empty() {
-        return Err(format!(
-            "lock family declaration requires a justification: \
-             `{LOCK_DIRECTIVE} family({name}) -- <what this lock guards>`"
-        ));
-    }
-    let annotation = match kind {
-        "family" => LockAnnotation::Family(name),
-        _ => LockAnnotation::Use(name),
-    };
-    Ok((annotation, justification.to_string()))
 }
 
 /// Parse `entry -- justification`.
@@ -637,7 +548,7 @@ mod tests {
         assert!(f.bad_directives.is_empty());
         assert!(f.is_allowed("float-ordering", 2));
         assert!(f.is_allowed("indexing", 2));
-        assert!(!f.is_allowed("lock-discipline", 2));
+        assert!(!f.is_allowed("probe-effect", 2));
     }
 
     #[test]
@@ -653,37 +564,6 @@ mod tests {
         let f = scan(src);
         assert_eq!(f.bad_directives.len(), 1);
         assert!(f.allows.is_empty());
-    }
-
-    #[test]
-    fn lock_family_directive_parses() {
-        let src = "// aimq-lock: family(cache-stripe) -- guards one stripe's pages\nstate: Mutex<CacheState>,";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.lock_directives.len(), 1);
-        let d = &f.lock_directives[0];
-        assert_eq!(d.annotation, LockAnnotation::Family("cache-stripe".into()));
-        assert_eq!(d.target_line, 2);
-    }
-
-    #[test]
-    fn lock_use_directive_allows_bare_form() {
-        let src = "let mut s = lock_stats(stripe); // aimq-lock: use(cache-stripe)";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(
-            f.lock_directives[0].annotation,
-            LockAnnotation::Use("cache-stripe".into())
-        );
-        assert_eq!(f.lock_directives[0].target_line, 1);
-    }
-
-    #[test]
-    fn lock_family_requires_justification_and_kebab_name() {
-        let unjustified = scan("// aimq-lock: family(queue)\nstate: Mutex<u32>,");
-        assert_eq!(unjustified.bad_directives.len(), 1);
-        let bad_name = scan("// aimq-lock: family(Queue State) -- x\nstate: Mutex<u32>,");
-        assert_eq!(bad_name.bad_directives.len(), 1);
     }
 
     #[test]

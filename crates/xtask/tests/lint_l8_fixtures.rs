@@ -60,24 +60,6 @@ fn l8_probe_in_sim_suppressed_twin_is_clean() {
 }
 
 #[test]
-fn l8_indirect_probe_under_live_guard_is_detected() {
-    let report = lint("l8_guard");
-    let errs = errors(&report);
-    assert_eq!(errs.len(), 1, "{:#?}", report.diagnostics);
-    assert_eq!(errs[0].0, "probe-effect");
-    assert!(
-        errs[0].1.contains("may probe the source") && errs[0].1.contains("`memo-state`"),
-        "{:#?}",
-        report.diagnostics
-    );
-}
-
-#[test]
-fn l8_guard_suppressed_twin_is_clean() {
-    assert_clean("l8_guard_allow");
-}
-
-#[test]
 fn l8_unannotated_entry_and_stale_annotation_are_detected() {
     let report = lint("l8_entry");
     let errs = errors(&report);

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Checks that rustc, clippy and Cargo enforce what the retired xtask
 # rules (panic, hashmap, wallclock, layering, result-discipline,
-# degradation-flow, atomics-audit, counter-arith) used to. Every
-# violation crate in this directory must fail under
+# degradation-flow, atomics-audit, counter-arith, lock-discipline) used
+# to. Every violation crate in this directory must fail under
 # `cargo clippy -- -D warnings` with exactly the expected number of
 # diagnostics per lint or error code; every twin must pass, test
-# targets included.
+# targets included. `lock_leaf_expect` is the twin of both `lock_leaf`
+# and `raw_mutex`.
 #
 # Usage: tests/fixtures/clippy/check.sh   (from any directory)
 set -u
@@ -69,4 +70,7 @@ rejects raw_atomic clippy::disallowed_types=4
 accepts raw_atomic_expect
 rejects counter_arith clippy::arithmetic_side_effects=2
 accepts counter_arith_expect
+rejects lock_leaf E0308=2 E0277=2
+rejects raw_mutex clippy::disallowed_types=2
+accepts lock_leaf_expect
 exit $status
