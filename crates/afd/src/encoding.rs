@@ -1,5 +1,5 @@
 use aimq_catalog::{AttrId, BucketSpec, Domain, Schema};
-use aimq_storage::{Relation, NULL_CODE};
+use aimq_relation::{Relation, NULL_CODE};
 
 /// Per-attribute bucketing policy for mining.
 ///
@@ -80,7 +80,7 @@ impl EncodedRelation {
                         reason = "Relation construction pairs Categorical schema domains with dictionary-encoded columns"
                     )]
                     let codes = col.codes().expect("categorical column").to_vec();
-                    let card = col.dictionary().map_or(0, aimq_storage::Dictionary::len);
+                    let card = col.dictionary().map_or(0, aimq_relation::Dictionary::len);
                     columns.push(codes);
                     cardinalities.push(card);
                 }

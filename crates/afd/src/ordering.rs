@@ -414,7 +414,7 @@ mod tests {
     use super::*;
     use crate::{AKey, Afd, BucketConfig, EncodedRelation, MinedDependencies, TaneConfig};
     use aimq_catalog::{Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     fn schema4() -> Schema {
         Schema::builder("R")

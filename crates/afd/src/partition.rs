@@ -1,4 +1,4 @@
-use aimq_storage::{RowId, NULL_CODE};
+use aimq_relation::{RowId, NULL_CODE};
 
 /// A *stripped partition*: the equivalence classes (of size ≥ 2) induced on
 /// the rows by an attribute set. Singleton classes are dropped — they can

@@ -287,7 +287,7 @@ mod tests {
     use super::*;
     use crate::BucketConfig;
     use aimq_catalog::{Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     /// Small CarDB-like relation where Model → Make holds exactly and
     /// Model is (approximately) determined by nothing.

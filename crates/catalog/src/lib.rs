@@ -35,10 +35,13 @@
 //!   ranked set of tuples whose similarity to the query exceeds a
 //!   threshold.
 //!
-//! This crate deliberately contains no algorithms: mining, similarity
-//! estimation and query answering live in the `aimq-afd`, `aimq-sim` and
+//! This crate deliberately contains no algorithms and no data: the
+//! dictionary-encoded column store lives in `aimq-relation`, the
+//! autonomous-source boundary in `aimq-storage`, and mining, similarity
+//! estimation and query answering in the `aimq-afd`, `aimq-sim` and
 //! `aimq` crates. Keeping the model tiny lets every subsystem — including
-//! the ROCK baseline — speak the same types.
+//! the ROCK baseline — speak the same types. It depends on no other aimq
+//! crate, so it is probe-free by construction (`tests/crate_dag.rs`).
 
 mod atomic;
 mod bucket;

@@ -53,7 +53,6 @@ pub fn derive_base_set(
 /// reproduces a derivation query. Derivation itself never repeats a
 /// query (the generalization steps are distinct subsets), so it only
 /// records.
-// aimq-probe: entry -- base-set derivation (Section 4); pages memoized per call, failures propagate as QueryError
 pub(crate) fn derive_base_set_memoized(
     db: &dyn WebDatabase,
     query: &ImpreciseQuery,

@@ -5,7 +5,7 @@ pub use oracle::car_oracle_similarity;
 pub use specs::Segment;
 
 use aimq_catalog::{Schema, Tuple, Value};
-use aimq_storage::Relation;
+use aimq_relation::Relation;
 use rand::{RngExt, SeedableRng};
 
 use specs::{ModelSpec, COLORS, LOCATIONS, MODEL_CATALOG};

@@ -1,7 +1,7 @@
 mod spec;
 
 use aimq_catalog::{Schema, Tuple, Value};
-use aimq_storage::Relation;
+use aimq_relation::Relation;
 use rand::{RngExt, SeedableRng};
 
 use spec::{education_table, occupation_table, EDU_WEIGHTS, NATIVE_COUNTRIES, RACES, WORKCLASSES};

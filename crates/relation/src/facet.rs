@@ -2,10 +2,10 @@
 //!
 //! The sorted index `[(value, row)]` answers a range predicate with two
 //! binary searches, but the rows it yields come back in *value* order —
-//! useless for the posting-list set algebra in [`crate::postings`], which
-//! needs row-id-sorted lists to intersect. Re-sorting the slice per query
-//! is O(m log m) on every probe; wide relaxation ranges pay it over and
-//! over.
+//! useless for the posting-list set algebra in `aimq-storage`'s
+//! executor, which needs row-id-sorted lists to intersect. Re-sorting the
+//! slice per query is O(m log m) on every probe; wide relaxation ranges
+//! pay it over and over.
 //!
 //! The facet tree (after MeiliDB/milli's facet-range search) trades a
 //! modest amount of build-time memory for O(edges) range evaluation: leaf
@@ -13,14 +13,15 @@
 //! `F` each precompute the *row-id-sorted* union of the positions they
 //! cover. A range `[start, end)` in position space decomposes into O(log)
 //! whole nodes plus at most `2·bucket` partial-edge positions; the node
-//! lists and the sorted edge entries k-way merge into one sorted result
-//! without ever touching the interior positions individually.
+//! lists and the sorted edge entries k-way merge ([`union_kway`]) into
+//! one sorted result without ever touching the interior positions
+//! individually.
 //!
 //! Position bounds themselves come from `partition_point` over the sorted
-//! index (see `crate::postings`); the tree is deliberately ignorant of
-//! values — it only maps position ranges to sorted row sets.
+//! index (see `aimq-storage`'s posting-list executor); the tree is
+//! deliberately ignorant of values — it only maps position ranges to
+//! sorted row sets.
 
-use crate::postings::union_kway;
 use crate::RowId;
 
 /// Leaf bucket width in sorted positions. Small enough that partial-edge
@@ -32,6 +33,38 @@ const DEFAULT_BUCKET: usize = 64;
 /// Internal-node fanout: each level-`l+1` node unions `F` level-`l`
 /// nodes. With bucket 64 and fanout 8 a 100k-row attribute is 5 levels.
 const DEFAULT_FANOUT: usize = 8;
+
+/// K-way merge union of ascending row-id lists into one ascending,
+/// duplicate-free list.
+pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut cursors = vec![0usize; lists.len()];
+    let mut heap: BinaryHeap<Reverse<(RowId, usize)>> = lists
+        .iter()
+        .enumerate()
+        .filter_map(|(i, list)| list.first().map(|&row| Reverse((row, i))))
+        .collect();
+    let mut out = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+    while let Some(Reverse((row, i))) = heap.pop() {
+        if out.last() != Some(&row) {
+            out.push(row);
+        }
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "a cursor stays at most its list's length, so c + 1 cannot wrap"
+        )]
+        let next = cursors.get(i).map_or(0, |&c| c + 1);
+        if let Some(cursor) = cursors.get_mut(i) {
+            *cursor = next;
+        }
+        if let Some(&row) = lists.get(i).and_then(|list| list.get(next)) {
+            heap.push(Reverse((row, i)));
+        }
+    }
+    out
+}
 
 /// A static facet tree over one numeric attribute's value-sorted index.
 ///
@@ -179,6 +212,37 @@ impl FacetTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn union_kway_basics() {
+        assert_eq!(union_kway(&[]), Vec::<RowId>::new());
+        assert_eq!(union_kway(&[&[], &[]]), Vec::<RowId>::new());
+        assert_eq!(union_kway(&[&[1, 3], &[2, 4]]), vec![1, 2, 3, 4]);
+        assert_eq!(
+            union_kway(&[&[1, 2, 3], &[2, 3, 4], &[0, 4]]),
+            vec![0, 1, 2, 3, 4]
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn union_matches_reference_union(
+            lists in prop::collection::vec(prop::collection::vec(0u32..100, 0..30), 0..6),
+        ) {
+            let sorted: Vec<Vec<RowId>> = lists
+                .iter()
+                .map(|l| { let mut l = l.clone(); l.sort_unstable(); l.dedup(); l })
+                .collect();
+            let slices: Vec<&[RowId]> = sorted.iter().map(Vec::as_slice).collect();
+            let mut expect: Vec<RowId> = sorted.iter().flatten().copied().collect();
+            expect.sort_unstable();
+            expect.dedup();
+            prop_assert_eq!(union_kway(&slices), expect);
+        }
+    }
 
     /// Reference: slice the position range and sort by row id.
     fn naive(sorted: &[(f64, RowId)], start: usize, end: usize) -> Vec<RowId> {

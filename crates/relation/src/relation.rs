@@ -11,9 +11,9 @@ pub type RowId = u32;
 ///
 /// This is the "owned data" view used by the dataset generators, the mined
 /// sample, and the evaluation harness. The AIMQ query engine itself never
-/// touches a `Relation` directly — it goes through the
-/// [`WebDatabase`](crate::WebDatabase) facade, which enforces the boolean
-/// query model and meters access.
+/// touches a `Relation` directly — it goes through the `WebDatabase`
+/// facade in `aimq-storage`, which enforces the boolean query model and
+/// meters access.
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,

@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use aimq_storage::RowId;
+use aimq_relation::RowId;
 
 use crate::PointSet;
 
@@ -51,7 +51,7 @@ mod tests {
     use super::*;
     use aimq_afd::{BucketConfig, EncodedRelation};
     use aimq_catalog::{Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     fn point_set(rows: &[(&str, &str, &str)]) -> PointSet {
         let schema = Schema::builder("R")

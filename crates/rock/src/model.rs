@@ -1,7 +1,7 @@
 use std::time::{Duration, Instant};
 
 use aimq_afd::EncodedRelation;
-use aimq_storage::RowId;
+use aimq_relation::RowId;
 
 use crate::cluster::{cluster_greedy, f_theta};
 use crate::links::compute_links;
@@ -225,7 +225,7 @@ mod tests {
     use super::*;
     use aimq_afd::BucketConfig;
     use aimq_catalog::{Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     /// Two well-separated families of tuples plus one oddball.
     fn encoded() -> EncodedRelation {

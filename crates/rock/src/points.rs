@@ -1,6 +1,6 @@
 use aimq_afd::EncodedRelation;
 use aimq_catalog::AttrId;
-use aimq_storage::{RowId, NULL_CODE};
+use aimq_relation::{RowId, NULL_CODE};
 
 /// Tuples viewed as ROCK data points: each point is the set of its
 /// attribute–value pairs (categorical dictionary codes, bucketized numeric
@@ -87,7 +87,7 @@ mod tests {
     use super::*;
     use aimq_afd::BucketConfig;
     use aimq_catalog::{Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     fn points() -> PointSet {
         let schema = Schema::builder("R")

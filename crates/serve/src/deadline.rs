@@ -62,7 +62,6 @@ impl WebDatabase for DeadlineWebDb<'_> {
         self.inner.schema()
     }
 
-    // aimq-probe: entry -- deadline wrapper; overruns convert to terminal Unavailable and are recorded on the `missed` flag
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
         if self.deadline_ticks > 0 && self.clock.now() >= self.deadline_ticks {
             // Terminal by design: the engine treats `Unavailable` as

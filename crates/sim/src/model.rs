@@ -1,6 +1,6 @@
 use aimq_afd::{AttributeOrdering, BucketConfig, EncodedRelation};
 use aimq_catalog::{AttrId, Domain, ImpreciseQuery, Schema, Tuple, Value};
-use aimq_storage::{Dictionary, Relation};
+use aimq_relation::{Dictionary, Relation};
 
 use crate::supertuple::build_supertuples;
 use crate::tuple_sim::numeric_similarity;

@@ -56,7 +56,7 @@ pub fn build_supertuples(enc: &EncodedRelation, attr: AttrId) -> Vec<SuperTuple>
     let mut support = vec![0u32; n_values];
 
     for (row, &value) in own_codes.iter().enumerate() {
-        if value == aimq_storage::NULL_CODE {
+        if value == aimq_relation::NULL_CODE {
             continue;
         }
         // aimq-lint: allow(indexing) -- value codes are < cardinality by dictionary interning
@@ -67,7 +67,7 @@ pub fn build_supertuples(enc: &EncodedRelation, attr: AttrId) -> Vec<SuperTuple>
                 continue;
             }
             let feature = enc.codes(AttrId(other))[row]; // aimq-lint: allow(indexing) -- codes column is relation-sized; row ranges over it
-            if feature == aimq_storage::NULL_CODE {
+            if feature == aimq_relation::NULL_CODE {
                 continue;
             }
             *other_counts.entry(feature).or_insert(0) += 1;
@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use aimq_afd::BucketConfig;
     use aimq_catalog::{BucketSpec, Schema, Tuple, Value};
-    use aimq_storage::Relation;
+    use aimq_relation::Relation;
 
     /// Mini CarDB mirroring the paper's Table 1 structure.
     fn setup() -> (Relation, EncodedRelation) {

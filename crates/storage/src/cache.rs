@@ -346,7 +346,6 @@ impl<D: WebDatabase> WebDatabase for CachedWebDb<D> {
         self.inner.schema()
     }
 
-    // aimq-probe: entry -- memoizing wrapper; misses forward inward and hits/misses are metered in CacheStats
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
         let key = canonical_key(query);
         let stripe = self.stripe_index(&key);

@@ -312,7 +312,6 @@ impl<D: WebDatabase> WebDatabase for FaultInjectingWebDb<D> {
         self.inner.schema()
     }
 
-    // aimq-probe: entry -- fault-injection wrapper; injected failures are tallied in FaultStats before forwarding inward
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
         let clip = self.schedule_next(query)?;
         let mut page = self.inner.try_query(query)?;

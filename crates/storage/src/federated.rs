@@ -541,7 +541,6 @@ impl FederatedWebDb {
 
     /// Issue one (schema-mapped) probe against a member's stack and map
     /// the resulting page back into the federation's attribute space.
-    // aimq-probe: entry -- per-member scatter probe; raw access is metered in the member stack's AccessStats, outcomes in the federation-state health table
     fn probe_member(
         &self,
         member: &FederatedSource,

@@ -12,9 +12,9 @@
 
 //! # aimq-storage
 //!
-//! The storage substrate of the AIMQ reproduction: an in-memory,
-//! dictionary-encoded column store plus the *autonomous Web database*
-//! facade the paper assumes.
+//! The source layer of the AIMQ reproduction: the *autonomous Web
+//! database* facade the paper assumes, the selection executor behind it,
+//! the decorators that make it fault-tolerant, and the sampling prober.
 //!
 //! The paper's setting (Section 3.1) imposes two constraints that shape
 //! this crate:
@@ -26,16 +26,15 @@
 //!    can only learn statistics by *probing* it with ordinary queries.
 //!
 //! Accordingly, the full-featured [`Relation`] (random access, dictionary
-//! codes, samples) is available only to the code that *owns* data — the
-//! dataset generators and the mining pipeline working on a probed sample —
-//! while the query engine in the `aimq` crate talks to the source through
-//! the deliberately narrow [`WebDatabase`] trait, whose implementations
-//! meter every query and every tuple returned (the `Work` measure of
-//! Section 6.3 is exactly this meter).
-//!
-//! Categorical values are dictionary-encoded (`u32` codes) at load time;
-//! TANE partitions, supertuple bags and ROCK neighbor sets all operate on
-//! codes rather than strings.
+//! codes, samples) lives in the `aimq-relation` crate below this one and
+//! is available only to the code that *owns* data — the dataset
+//! generators and the mining pipeline working on a probed sample — while
+//! the query engine in the `aimq` crate talks to the source through the
+//! deliberately narrow [`WebDatabase`] trait, whose implementations meter
+//! every query and every tuple returned (the `Work` measure of Section
+//! 6.3 is exactly this meter). The mining crates do not depend on this
+//! crate at all, so they cannot probe. The column-store items are
+//! re-exported here for the engine, serving and evaluation crates.
 //!
 //! Because real autonomous sources fail constantly, the boundary is
 //! *fallible*: [`WebDatabase::try_query`] returns a [`QueryPage`] (tuples
@@ -52,32 +51,26 @@
 //! dedup semantics".
 
 mod cache;
-mod column;
-mod csv;
-mod dictionary;
 mod executor;
-mod facet;
 mod fault;
 mod federated;
 mod postings;
-mod relation;
 mod resilient;
 mod sampler;
 mod stats_cell;
 mod web;
 
+pub use aimq_relation::{
+    read_csv, union_kway, write_csv, Column, CsvError, Dictionary, FacetTree, Relation,
+    RelationBuilder, RowId, NULL_CODE,
+};
 pub use cache::{CachedWebDb, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_STRIPES};
-pub use column::{Column, NULL_CODE};
-pub use csv::{read_csv, write_csv, CsvError};
-pub use dictionary::Dictionary;
 pub use executor::{execute, execute_rows};
-pub use facet::FacetTree;
 pub use fault::{FaultInjectingWebDb, FaultProfile, RateLimitWindow, TruncationPolicy};
 pub use federated::{
     FederatedSource, FederatedWebDb, FederationPolicy, SchemaMapping, SourceHealth, SourceSpec,
 };
-pub use postings::{execute_query, intersect_gallop, union_kway, ExecStats, PlanExecutor};
-pub use relation::{Relation, RelationBuilder, RowId};
+pub use postings::{execute_query, intersect_gallop, ExecStats, PlanExecutor};
 pub use resilient::{ResilienceReport, ResilientWebDb, RetryPolicy, VirtualClock};
 pub use sampler::{probe_by_spanning_queries, random_sample, ProbeError};
 pub use stats_cell::StatsCell;

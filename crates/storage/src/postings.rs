@@ -73,38 +73,6 @@ pub fn intersect_gallop(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
     out
 }
 
-/// K-way merge union of ascending row-id lists into one ascending,
-/// duplicate-free list.
-pub fn union_kway(lists: &[&[RowId]]) -> Vec<RowId> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut cursors = vec![0usize; lists.len()];
-    let mut heap: BinaryHeap<Reverse<(RowId, usize)>> = lists
-        .iter()
-        .enumerate()
-        .filter_map(|(i, list)| list.first().map(|&row| Reverse((row, i))))
-        .collect();
-    let mut out = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-    while let Some(Reverse((row, i))) = heap.pop() {
-        if out.last() != Some(&row) {
-            out.push(row);
-        }
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "a cursor stays at most its list's length, so c + 1 cannot wrap"
-        )]
-        let next = cursors.get(i).map_or(0, |&c| c + 1);
-        if let Some(cursor) = cursors.get_mut(i) {
-            *cursor = next;
-        }
-        if let Some(&row) = lists.get(i).and_then(|list| list.get(next)) {
-            heap.push(Reverse((row, i)));
-        }
-    }
-    out
-}
-
 /// Sharing meters of a [`PlanExecutor`]: how much term and intersection
 /// work the plan's queries shared. `prefix_memo_hits` growing while
 /// `intersections_computed` stands still is the executor-level proof
@@ -371,17 +339,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn union_kway_basics() {
-        assert_eq!(union_kway(&[]), Vec::<RowId>::new());
-        assert_eq!(union_kway(&[&[], &[]]), Vec::<RowId>::new());
-        assert_eq!(union_kway(&[&[1, 3], &[2, 4]]), vec![1, 2, 3, 4]);
-        assert_eq!(
-            union_kway(&[&[1, 2, 3], &[2, 3, 4], &[0, 4]]),
-            vec![0, 1, 2, 3, 4]
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -395,21 +352,6 @@ mod tests {
             b.sort_unstable(); b.dedup();
             let expect: Vec<RowId> = a.iter().copied().filter(|x| b.contains(x)).collect();
             prop_assert_eq!(intersect_gallop(&a, &b), expect);
-        }
-
-        #[test]
-        fn union_matches_reference_union(
-            lists in prop::collection::vec(prop::collection::vec(0u32..100, 0..30), 0..6),
-        ) {
-            let sorted: Vec<Vec<RowId>> = lists
-                .iter()
-                .map(|l| { let mut l = l.clone(); l.sort_unstable(); l.dedup(); l })
-                .collect();
-            let slices: Vec<&[RowId]> = sorted.iter().map(Vec::as_slice).collect();
-            let mut expect: Vec<RowId> = sorted.iter().flatten().copied().collect();
-            expect.sort_unstable();
-            expect.dedup();
-            prop_assert_eq!(union_kway(&slices), expect);
         }
     }
 

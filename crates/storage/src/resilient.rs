@@ -290,7 +290,6 @@ impl<D: WebDatabase> WebDatabase for ResilientWebDb<D> {
         self.inner.schema()
     }
 
-    // aimq-probe: entry -- retry/breaker wrapper; every attempt and rejection is metered in ResilienceReport
     fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
         let mut retries: u32 = 0;
         loop {

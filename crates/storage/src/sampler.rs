@@ -73,7 +73,6 @@ impl From<CatalogError> for ProbeError {
 ///
 /// Returns a [`Relation`] built from the probed tuples (at most `target`,
 /// fewer when the source is smaller).
-// aimq-probe: entry -- offline sampling walk (Section 3.1); caller bounds work via `target`, failures surface as ProbeError::Source
 pub fn probe_by_spanning_queries(
     db: &dyn WebDatabase,
     spanning_attr: AttrId,

@@ -243,7 +243,6 @@ pub trait WebDatabase: Send + Sync {
     /// traffic their inner sources see. The serving deadline decorator
     /// keeps it too, until a served workload with cache misses can
     /// measure a plan path there.
-    // aimq-probe: entry -- sequential plan loop over try_query; per-query accounting unchanged
     fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
         let mut out = Vec::with_capacity(plan.len());
         for q in plan {
@@ -462,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_is_single_lock_consistent() {
+    fn stats_snapshot_is_seqlock_consistent() {
         // Hammer the meter from several threads; every snapshot must obey
         // the invariant `tuples_returned == 3 * queries_issued` (each
         // all-query returns all 3 tuples), which two separate relaxed
@@ -581,7 +580,6 @@ mod tests {
             fn schema(&self) -> &Schema {
                 self.0.schema()
             }
-            // aimq-probe: entry -- test pass-through forwarding to the inner source
             fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
                 self.0.try_query(query)
             }

@@ -59,13 +59,13 @@ mod tests {
         LintReport {
             diagnostics: vec![
                 Diagnostic {
-                    rule: "probe-effect".into(),
+                    rule: "float-ordering".into(),
                     path: PathBuf::from("crates/storage/src/cache.rs"),
                     line: 40,
                     col: 12,
-                    message: "`refresh` is not annotated, \"quoted\"".into(),
-                    snippet: "    fn refresh(&self) {".into(),
-                    help: "annotate the entry point".into(),
+                    message: "`partial_cmp` on \"scores\"".into(),
+                    snippet: "    a.partial_cmp(&b)".into(),
+                    help: "use `total_cmp`".into(),
                 },
                 Diagnostic {
                     rule: "indexing".into(),
@@ -97,6 +97,6 @@ mod tests {
         );
         // Message text rides after the `::` separator unescaped except
         // for %, CR, LF.
-        assert!(lines[0].contains("`refresh` is not annotated"), "{ann}");
+        assert!(lines[0].contains("`partial_cmp` on \"scores\""), "{ann}");
     }
 }

@@ -15,10 +15,14 @@
 //! discipline (raw `Mutex`/`RwLock` are banned; an `aimq_catalog::Leaf`
 //! section is a `fn` pointer over `Plain` data, so it cannot probe,
 //! block or nest), counter arithmetic
-//! (`clippy::arithmetic_side_effects`, denied at the roots of the five
+//! (`clippy::arithmetic_side_effects`, denied at the roots of the six
 //! crates that meter, budget, serve or parse outside input), and the
 //! HTTP error surface (the `ErrorCode` enum in `crates/http`, checked
-//! against DESIGN.md by a unit test).
+//! against DESIGN.md by a unit test). Probe-freedom is Cargo's: the
+//! mining crates (`afd`, `sim`, `rock`) and the generators (`data`)
+//! depend on `aimq-catalog` and `aimq-relation` only, never on
+//! `aimq-storage`, which defines `WebDatabase`, so no path from them to
+//! a probe compiles (`tests/crate_dag.rs` pins those manifest rows).
 //!
 //! Two token-level rules stay here because clippy's versions would
 //! loosen them:
@@ -31,16 +35,6 @@
 //!   NaN-unsafe `partial_cmp`. A clippy `disallowed-methods` ban on
 //!   `PartialOrd::partial_cmp` would also fire inside every
 //!   `#[derive(PartialOrd)]`.
-//!
-//! One more needs whole-program, annotation-driven reasoning:
-//!
-//! - **L8 probe-effect** (the `effects` module, over the `callgraph`
-//!   fixpoint and the per-function calls from `structure`): every
-//!   function that can transitively reach `WebDatabase::try_query` is
-//!   inferred; probing paths are banned in the probe-free crates
-//!   (`afd`, `sim`, `rock`, `catalog`), and direct boundary callers
-//!   must be annotated `// aimq-probe: entry -- <why>` (stale
-//!   annotations are errors).
 //!
 //! The JSON wire contract is pinned outside xtask, by rendering it:
 //! `tests/wire_golden.rs` runs every `to_json()` on fixed samples and
@@ -59,12 +53,9 @@
     reason = "the wildcard lints guard matches over the fault enums, which xtask cannot see"
 )]
 
-pub mod callgraph;
-pub mod effects;
 pub mod json;
 pub mod rules;
 pub mod source;
-pub mod structure;
 
 pub use rules::{rule_info, Finding, RuleInfo, KNOWN_RULES, RULES};
 
@@ -72,12 +63,14 @@ use std::path::{Path, PathBuf};
 
 use aimq_catalog::Json;
 
-/// Library crates under the `indexing` and float-ordering rules (each also denies clippy's panic lints at its root). `http`
-/// joined with the network front door: a malformed request or a dying
-/// socket must become a typed 400/transport error, never a panic in a
-/// connection thread.
+/// Library crates under the `indexing` and float-ordering rules:
+/// exactly the crates whose root denies clippy's panic lints
+/// (`tests/lint_fixtures.rs` checks the match). `http` joined with the
+/// network front door: a malformed request or a dying socket must
+/// become a typed 400/transport error, never a panic in a connection
+/// thread.
 pub const PANIC_CRATES: &[&str] = &[
-    "catalog", "storage", "afd", "sim", "rock", "core", "serve", "http",
+    "catalog", "relation", "storage", "afd", "sim", "rock", "core", "serve", "http",
 ];
 
 /// A rendered-ready diagnostic bound to a file.
@@ -136,158 +129,34 @@ impl LintReport {
     }
 }
 
-/// Lint a workspace-shaped tree rooted at `root`.
-///
-/// Pass 1 walks every `.rs` file under `crates/<name>/src/` (except
-/// `xtask` itself, whose docs quote directive syntax verbatim), runs
-/// the per-file rules on the [`PANIC_CRATES`], and retains the
-/// structural facts. Pass 2 runs the workspace-wide effect check over
-/// those facts, with its findings filtered through each file's own
-/// suppressions.
+/// Lint a workspace-shaped tree rooted at `root`: every `.rs` file
+/// under `crates/<name>/src/` for each name in [`PANIC_CRATES`], in
+/// (path, line, col) order.
 pub fn lint_root(root: &Path) -> std::io::Result<LintReport> {
-    let mut report = LintReport::default();
-    let entries = scan_workspace(root)?;
-
-    for entry in &entries {
-        if PANIC_CRATES.contains(&entry.crate_name.as_str()) {
-            lint_scanned(&entry.scanned, &entry.lines, &entry.rel, &mut report);
-        }
-    }
-
-    // Pass 2: the effect-system rule (L8 probe-effect over the call
-    // graph) over every crate — bins and eval included, which the
-    // per-file rules skip.
-    let late = effects::check_workspace(&effects_files(&entries)).findings;
-
-    for (idx, finding) in late {
-        let entry = &entries[idx];
-        if entry.scanned.is_allowed(finding.rule, finding.line) {
-            continue;
-        }
-        report.diagnostics.push(Diagnostic {
-            rule: finding.rule.to_string(),
-            path: entry.rel.clone(),
-            line: finding.line,
-            col: finding.col,
-            message: finding.message,
-            snippet: entry
-                .lines
-                .get(finding.line.saturating_sub(1))
-                .cloned()
-                .unwrap_or_default(),
-            help: finding.help.to_string(),
-        });
-    }
-
-    report
-        .diagnostics
-        .sort_by(|a, b| (&a.path, a.line, a.col, &a.rule).cmp(&(&b.path, b.line, b.col, &b.rule)));
-    Ok(report)
-}
-
-/// One scanned workspace file retained for the cross-file passes.
-struct Entry {
-    rel: PathBuf,
-    crate_name: String,
-    scanned: source::ScannedFile,
-    analysis: structure::FileAnalysis,
-    lines: Vec<String>,
-}
-
-/// Scan every `.rs` file under `crates/<name>/src/` (except `xtask`
-/// itself, whose docs quote directive syntax verbatim) into retained
-/// lexical + structural facts, in (crate, path) order.
-fn scan_workspace(root: &Path) -> std::io::Result<Vec<Entry>> {
     let crates_dir = root.join("crates");
-    let mut names: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let entry = entry?;
-        if entry.file_type()?.is_dir() {
-            names.push(entry.file_name().to_string_lossy().into_owned());
-        }
+    if !crates_dir.is_dir() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("{} is not a directory", crates_dir.display()),
+        ));
     }
-    names.sort();
-    names.retain(|n| n != "xtask");
-
-    let mut entries: Vec<Entry> = Vec::new();
-    for name in &names {
+    let mut report = LintReport::default();
+    for name in PANIC_CRATES {
         let src_dir = crates_dir.join(name).join("src");
         if !src_dir.is_dir() {
             continue;
         }
         let mut files = Vec::new();
         collect_rs_files(&src_dir, &mut files)?;
-        files.sort();
         for file in files {
             let text = std::fs::read_to_string(&file)?;
-            let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            let scanned = source::scan(&text);
-            let analysis = structure::analyze(&scanned);
-            let lines: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
-            entries.push(Entry {
-                rel,
-                crate_name: name.clone(),
-                scanned,
-                analysis,
-                lines,
-            });
+            lint_file(&text, file.strip_prefix(root).unwrap_or(&file), &mut report);
         }
     }
-    Ok(entries)
-}
-
-/// One sanctioned probing entry point, for `cargo xtask probes` and
-/// the checked-in `results/PROBE_ENTRYPOINTS.txt` audit.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ProbeEntryPoint {
-    /// Path relative to the workspace root.
-    pub path: PathBuf,
-    /// Function name.
-    pub fn_name: String,
-}
-
-/// Workspace probe-effect summary: the direct `try_query` callers and
-/// the per-crate probing sets the L8 fixpoint inferred.
-#[derive(Debug, Default)]
-pub struct ProbeSummary {
-    /// Direct boundary callers outside the probe-free crates, sorted.
-    pub entries: Vec<ProbeEntryPoint>,
-    /// Probing (merged) function names per crate. The probe-free
-    /// crates (`afd`, `sim`, `rock`, `catalog`) must map to empty sets.
-    pub probing_by_crate: std::collections::BTreeMap<String, std::collections::BTreeSet<String>>,
-}
-
-/// The effect pass's view of every scanned file.
-fn effects_files(entries: &[Entry]) -> Vec<effects::EffectsFile<'_>> {
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| effects::EffectsFile {
-            idx: i,
-            crate_name: e.crate_name.as_str(),
-            scanned: &e.scanned,
-            analysis: &e.analysis,
-        })
-        .collect()
-}
-
-/// Compute the L8 probe-effect summary for the workspace at `root`.
-pub fn probe_summary(root: &Path) -> std::io::Result<ProbeSummary> {
-    let entries = scan_workspace(root)?;
-    let report = effects::check_workspace(&effects_files(&entries));
-    let mut out = ProbeSummary {
-        probing_by_crate: report.probing_by_crate,
-        ..ProbeSummary::default()
-    };
-    for entry in report.entries {
-        out.entries.push(ProbeEntryPoint {
-            path: entries[entry.idx].rel.clone(),
-            fn_name: entry.fn_name,
-        });
-    }
-    out.entries.sort();
-    out.entries.dedup();
-    Ok(out)
+    report
+        .diagnostics
+        .sort_by(|a, b| (&a.path, a.line, a.col, &a.rule).cmp(&(&b.path, b.line, b.col, &b.rule)));
+    Ok(report)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -303,22 +172,12 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lint one library-crate file's text with the per-file rules,
-/// appending to `report` (tests, single-file use).
+/// Lint one library-crate file's text, appending to `report`:
+/// directive hygiene and the token-level rules (`indexing`,
+/// float-ordering).
 pub fn lint_file(text: &str, rel_path: &Path, report: &mut LintReport) {
     let scanned = source::scan(text);
     let lines: Vec<String> = text.lines().map(|l| l.trim_end().to_string()).collect();
-    lint_scanned(&scanned, &lines, rel_path, report);
-}
-
-/// Per-file pass over pre-scanned facts: directive hygiene and the
-/// token-level rules (`indexing`, float-ordering).
-fn lint_scanned(
-    scanned: &source::ScannedFile,
-    lines: &[String],
-    rel_path: &Path,
-    report: &mut LintReport,
-) {
     let snippet = |line: usize| -> String {
         lines
             .get(line.saturating_sub(1))
@@ -360,7 +219,7 @@ fn lint_scanned(
         }
     }
 
-    for finding in rules::check(scanned) {
+    for finding in rules::check(&scanned) {
         if scanned.is_allowed(finding.rule, finding.line) {
             continue;
         }
@@ -417,6 +276,12 @@ fn excused(xs: &[f64]) -> f64 {
         lint_file(src, Path::new("crates/afd/src/x.rs"), &mut report);
         assert_eq!(report.errors(), 1, "{:#?}", report.diagnostics);
         assert_eq!(report.diagnostics[0].line, 2);
+    }
+
+    #[test]
+    fn a_root_without_crates_is_an_error() {
+        let missing = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-tree");
+        assert!(lint_root(&missing).is_err());
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! cargo xtask lint --root DIR      # lint a workspace-shaped tree (fixtures)
 //! cargo xtask lint --json          # machine-readable findings on stdout
 //! cargo xtask lint --explain RULE  # print a rule's rationale and remedy
-//! cargo xtask probes               # print the probing entry-point list
-//! cargo xtask probes --write       # regenerate results/PROBE_ENTRYPOINTS.txt
 //! cargo xtask annotate lint.json   # GitHub ::error annotations from --json
 //! ```
 
@@ -17,7 +15,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(args.collect()),
-        Some("probes") => probes(args.collect()),
         Some("annotate") => annotate(args.collect()),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`");
@@ -34,7 +31,6 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: cargo xtask lint [--root DIR] [--json] [--explain RULE]\n\
-         \x20      cargo xtask probes [--root DIR] [--write]\n\
          \x20      cargo xtask annotate <lint.json>"
     );
 }
@@ -120,59 +116,6 @@ fn lint(args: Vec<String>) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// Print the sorted probing entry-point list (`<path> <fn>` per line),
-/// the format checked into `results/PROBE_ENTRYPOINTS.txt`; CI diffs
-/// the two so a new probe path requires an explicit commit.
-fn probes(args: Vec<String>) -> ExitCode {
-    let mut root = default_root();
-    let mut write = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => {
-                    eprintln!("--root requires a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write" => write = true,
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match xtask::probe_summary(&root) {
-        Ok(summary) => {
-            let mut rendered = String::new();
-            for entry in &summary.entries {
-                rendered.push_str(&format!("{} {}\n", entry.path.display(), entry.fn_name));
-            }
-            if write {
-                let pin = root.join("results").join("PROBE_ENTRYPOINTS.txt");
-                if let Err(err) = std::fs::write(&pin, &rendered) {
-                    eprintln!("error: failed to write {}: {err}", pin.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "wrote {} entries to {}",
-                    summary.entries.len(),
-                    pin.display()
-                );
-            } else {
-                print!("{rendered}");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("error: failed to scan {}: {err}", root.display());
-            ExitCode::from(2)
-        }
     }
 }
 

@@ -2,21 +2,17 @@
 //!
 //! | id | scope | what it catches |
 //! |---|---|---|
-//! | `indexing` | eight library crates | direct `expr[...]` indexing/slicing |
-//! | `float-ordering` | eight library crates | `.partial_cmp(` calls on scores |
-//! | `probe-effect` | all aimq crates | inferred probing paths in probe-free crates, unannotated or stale probing entry points |
+//! | `indexing` | nine library crates | direct `expr[...]` indexing/slicing |
+//! | `float-ordering` | nine library crates | `.partial_cmp(` calls on scores |
 //! | `lint-allow` | everywhere linted | malformed, unjustified, or unknown-rule suppression directives |
 //!
 //! Every finding is an error. Panic-freedom, hash containers, the wall
-//! clock, the crate DAG, fault discipline, atomics, lock discipline,
-//! counter arithmetic and the HTTP error surface are not here: rustc,
-//! clippy, Cargo and the type system enforce them. Nor is the JSON wire contract, which
-//! `tests/wire_golden.rs` pins by rendering every `to_json()` (see
-//! DESIGN.md, "Static analysis & invariants").
-//!
-//! The structure-aware L8 `probe-effect` lives in [`crate::effects`]
-//! (facts from [`crate::structure`]). It is listed here so suppression,
-//! `--explain`, and the doc table stay in one registry.
+//! clock, the crate DAG, probe-freedom, fault discipline, atomics, lock
+//! discipline, counter arithmetic and the HTTP error surface are not
+//! here: rustc, clippy, Cargo and the type system enforce them. Nor is
+//! the JSON wire contract, which `tests/wire_golden.rs` pins by
+//! rendering every `to_json()` (see DESIGN.md, "Static analysis &
+//! invariants").
 
 use crate::source::ScannedFile;
 
@@ -100,7 +96,7 @@ pub fn check(file: &ScannedFile) -> Vec<Finding> {
 }
 
 /// Every rule id accepted inside `aimq-lint: allow(...)`.
-pub const KNOWN_RULES: &[&str] = &["indexing", "float-ordering", "probe-effect"];
+pub const KNOWN_RULES: &[&str] = &["indexing", "float-ordering"];
 
 /// One registry entry backing `cargo xtask lint --explain <rule>` and
 /// the doc-drift self-test over the module-doc table above.
@@ -140,20 +136,6 @@ pub const RULES: &[RuleInfo] = &[
                     `#[derive(PartialOrd)]`.",
         remedy: "use `f64::total_cmp` or `aimq_catalog::OrderedScore`; justify exceptions \
                  with `// aimq-lint: allow(float-ordering) -- <why NaN cannot occur>`.",
-    },
-    RuleInfo {
-        id: "probe-effect",
-        summary: "inferred probing paths in probe-free crates, and unannotated or stale \
-                  probing entry points",
-        rationale: "every probe to an autonomous source must flow through the budgeted, \
-                    degradation-aware `WebDatabase::try_query` boundary; the mining and \
-                    statistics crates assume a consistent source snapshot, so a call chain \
-                    from `afd`/`sim`/`rock`/`catalog` to the boundary — inferred by a \
-                    workspace may-call fixpoint — breaks the paper's sampling model.",
-        remedy: "route source I/O through the storage layer; annotate each direct boundary \
-                 caller with `// aimq-probe: entry -- <where budget accounting lives>`; \
-                 justify residues with \
-                 `// aimq-lint: allow(probe-effect) -- <why>`.",
     },
     RuleInfo {
         id: "lint-allow",

@@ -36,16 +36,12 @@ pub struct Token {
 /// A scanned source file ready for rule matching.
 #[derive(Debug)]
 pub struct ScannedFile {
-    /// Raw source text.
-    pub text: String,
     /// Code tokens in order.
     pub tokens: Vec<Token>,
     /// Byte ranges covered by `#[cfg(test)]` / `#[test]` items.
     pub test_regions: Vec<(usize, usize)>,
     /// Parsed suppression directives.
     pub allows: Vec<AllowDirective>,
-    /// Parsed `aimq-probe: entry` annotations (L8 probe effects).
-    pub probe_directives: Vec<ProbeDirective>,
     /// Malformed directives (missing justification, bad syntax).
     pub bad_directives: Vec<(usize, String)>,
 }
@@ -63,39 +59,19 @@ pub struct AllowDirective {
     pub justification: String,
 }
 
-/// A parsed `// aimq-probe: entry -- justification` annotation (L8).
-///
-/// Marks a function that directly calls the `WebDatabase::try_query`
-/// boundary as a *sanctioned* probing entry point; the justification
-/// must say where its budget/degradation accounting lives. The lint
-/// errors on entry points without this annotation and on stale
-/// annotations whose function no longer probes.
-#[derive(Debug, Clone)]
-pub struct ProbeDirective {
-    /// Line the directive text sits on (1-based).
-    pub line: usize,
-    /// The line of code (the `fn` line) the annotation applies to.
-    pub target_line: usize,
-    /// Justification text after `--`.
-    pub justification: String,
-}
-
 const DIRECTIVE: &str = "aimq-lint:";
-const PROBE_DIRECTIVE: &str = "aimq-probe:";
 
 /// Scan `text` into classes, tokens, test regions and suppressions.
 pub fn scan(text: &str) -> ScannedFile {
     let classes = classify(text);
     let tokens = tokenize(text, &classes);
     let test_regions = find_test_regions(&tokens);
-    let directives = collect_directives(text, &classes);
+    let (allows, bad_directives) = collect_directives(text, &classes);
     ScannedFile {
-        text: text.to_string(),
         tokens,
         test_regions,
-        allows: directives.allows,
-        probe_directives: directives.probes,
-        bad_directives: directives.bad,
+        allows,
+        bad_directives,
     }
 }
 
@@ -386,19 +362,14 @@ fn match_attr(tokens: &[Token], k: usize, inner: &[&str]) -> Option<usize> {
     (tokens.get(close)?.text == "]").then_some(close + 1)
 }
 
-/// Everything `collect_directives` extracts from the comment channel.
-struct Directives {
-    allows: Vec<AllowDirective>,
-    probes: Vec<ProbeDirective>,
-    bad: Vec<(usize, String)>,
-}
-
-fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
-    let mut out = Directives {
-        allows: Vec::new(),
-        probes: Vec::new(),
-        bad: Vec::new(),
-    };
+/// The well-formed allow directives and the malformed ones (line,
+/// message) in the comment channel.
+fn collect_directives(
+    text: &str,
+    classes: &[ByteClass],
+) -> (Vec<AllowDirective>, Vec<(usize, String)>) {
+    let mut allows = Vec::new();
+    let mut bad = Vec::new();
     let mut offset = 0usize;
     let lines: Vec<&str> = text.split_inclusive('\n').collect();
 
@@ -441,27 +412,17 @@ fn collect_directives(text: &str, classes: &[ByteClass]) -> Directives {
         if let Some(pos) = comment.find(DIRECTIVE) {
             let body = comment[pos + DIRECTIVE.len()..].trim();
             match parse_allow(body) {
-                Ok((rules, justification)) => out.allows.push(AllowDirective {
+                Ok((rules, justification)) => allows.push(AllowDirective {
                     line,
                     target_line: target_of(idx),
                     rules,
                     justification,
                 }),
-                Err(msg) => out.bad.push((line, msg)),
-            }
-        } else if let Some(pos) = comment.find(PROBE_DIRECTIVE) {
-            let body = comment[pos + PROBE_DIRECTIVE.len()..].trim();
-            match parse_probe(body) {
-                Ok(justification) => out.probes.push(ProbeDirective {
-                    line,
-                    target_line: target_of(idx),
-                    justification,
-                }),
-                Err(msg) => out.bad.push((line, msg)),
+                Err(msg) => bad.push((line, msg)),
             }
         }
     }
-    out
+    (allows, bad)
 }
 
 /// Parse `allow(rule, ...) -- justification`.
@@ -493,22 +454,6 @@ fn parse_allow(body: &str) -> Result<(Vec<String>, String), String> {
         );
     }
     Ok((rules, justification.to_string()))
-}
-
-/// Parse `entry -- justification`.
-fn parse_probe(body: &str) -> Result<String, String> {
-    let tail = body
-        .strip_prefix("entry")
-        .ok_or_else(|| format!("expected `entry` after `{PROBE_DIRECTIVE}`"))?
-        .trim();
-    let justification = tail.strip_prefix("--").map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err(format!(
-            "probing entry point requires a justification: \
-             `{PROBE_DIRECTIVE} entry -- <where budget/degradation accounting lives>`"
-        ));
-    }
-    Ok(justification.to_string())
 }
 
 #[cfg(test)]
@@ -548,7 +493,7 @@ mod tests {
         assert!(f.bad_directives.is_empty());
         assert!(f.is_allowed("float-ordering", 2));
         assert!(f.is_allowed("indexing", 2));
-        assert!(!f.is_allowed("probe-effect", 2));
+        assert!(!f.is_allowed("indexing", 1));
     }
 
     #[test]
@@ -564,23 +509,5 @@ mod tests {
         let f = scan(src);
         assert_eq!(f.bad_directives.len(), 1);
         assert!(f.allows.is_empty());
-    }
-
-    #[test]
-    fn probe_entry_directive_parses_and_targets_the_fn_line() {
-        let src =
-            "// aimq-probe: entry -- budget accounted in ResilienceReport\nfn probe(&self) {}";
-        let f = scan(src);
-        assert!(f.bad_directives.is_empty(), "{:?}", f.bad_directives);
-        assert_eq!(f.probe_directives.len(), 1);
-        assert_eq!(f.probe_directives[0].target_line, 2);
-    }
-
-    #[test]
-    fn probe_entry_requires_keyword_and_justification() {
-        let bare = scan("// aimq-probe: entry\nfn probe(&self) {}");
-        assert_eq!(bare.bad_directives.len(), 1);
-        let wrong = scan("// aimq-probe: exit -- nope\nfn probe(&self) {}");
-        assert_eq!(wrong.bad_directives.len(), 1);
     }
 }

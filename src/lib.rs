@@ -9,8 +9,8 @@
 //! downstream users need a single dependency:
 //!
 //! * [`catalog`] — values, schemas, tuples, precise & imprecise queries;
-//! * [`storage`] — columnar relations, the boolean Web-database facade,
-//!   sampling;
+//! * [`storage`] — columnar relations (from `aimq-relation`), the
+//!   boolean Web-database facade, sampling;
 //! * [`afd`] — TANE mining of approximate functional dependencies/keys
 //!   and the Algorithm-2 attribute ordering;
 //! * [`sim`] — supertuples, bag-semantics Jaccard, the `VSim`/`Sim`

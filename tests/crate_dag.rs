@@ -9,38 +9,54 @@
 use std::path::Path;
 
 /// Each crate directory and the crate directories it may depend on:
-/// catalog → storage → {afd, sim} → rock → core → serve → {http, cli,
-/// eval}, with `data` a leaf over catalog/storage.
+/// catalog → relation → {storage, afd → sim → rock} → core → serve →
+/// {http, cli, eval}, with `data` a leaf over catalog/relation.
+/// `storage` defines the `WebDatabase` source boundary; the offline side
+/// never reaches it (see `probe_free_crates_cannot_reach_the_source`).
 const LAYERS: &[(&str, &[&str])] = &[
     ("catalog", &[]),
-    ("storage", &["catalog"]),
-    ("data", &["catalog", "storage"]),
-    ("afd", &["catalog", "storage"]),
-    ("sim", &["catalog", "storage", "afd"]),
-    ("rock", &["catalog", "storage", "afd", "sim"]),
-    ("core", &["catalog", "storage", "afd", "sim", "rock"]),
+    ("relation", &["catalog"]),
+    ("storage", &["catalog", "relation"]),
+    ("data", &["catalog", "relation"]),
+    ("afd", &["catalog", "relation"]),
+    ("sim", &["catalog", "relation", "afd"]),
+    ("rock", &["catalog", "relation", "afd", "sim"]),
+    (
+        "core",
+        &["catalog", "relation", "storage", "afd", "sim", "rock"],
+    ),
     (
         "serve",
-        &["catalog", "storage", "afd", "sim", "rock", "core"],
+        &[
+            "catalog", "relation", "storage", "afd", "sim", "rock", "core",
+        ],
     ),
     (
         "http",
-        &["catalog", "storage", "afd", "sim", "rock", "core", "serve"],
+        &[
+            "catalog", "relation", "storage", "afd", "sim", "rock", "core", "serve",
+        ],
     ),
     (
         "eval",
         &[
-            "catalog", "storage", "data", "afd", "sim", "rock", "core", "serve",
+            "catalog", "relation", "storage", "data", "afd", "sim", "rock", "core", "serve",
         ],
     ),
     (
         "cli",
         &[
-            "catalog", "storage", "data", "afd", "sim", "rock", "core", "serve", "http", "eval",
+            "catalog", "relation", "storage", "data", "afd", "sim", "rock", "core", "serve",
+            "http", "eval",
         ],
     ),
     ("xtask", &["catalog"]),
 ];
+
+/// The crates that learn from a probed sample or generate data offline.
+/// None may depend, even transitively, on `storage`, the crate that
+/// defines the source boundary `WebDatabase::try_query`.
+const PROBE_FREE: &[&str] = &["catalog", "relation", "afd", "sim", "rock", "data"];
 
 /// Crate directory of an aimq package: `aimq` lives in `core`, every
 /// other `aimq-<dir>` in `<dir>`. `None` for non-aimq packages.
@@ -71,16 +87,35 @@ fn dependencies(manifest: &str) -> Vec<&str> {
     out
 }
 
-/// Dependencies of crate `dir` that the DAG does not allow below it.
-fn upward_edges<'a>(dir: &str, deps: &[&'a str]) -> Vec<&'a str> {
-    let (_, allowed) = LAYERS
+/// The `LAYERS` row of crate `dir`.
+fn allowed(dir: &str) -> &'static [&'static str] {
+    LAYERS
         .iter()
         .find(|(name, _)| *name == dir)
-        .unwrap_or_else(|| panic!("crate `{dir}` has no row in LAYERS; place it in the DAG"));
+        .map(|(_, allowed)| *allowed)
+        .unwrap_or_else(|| panic!("crate `{dir}` has no row in LAYERS; place it in the DAG"))
+}
+
+/// Dependencies of crate `dir` that the DAG does not allow below it.
+fn upward_edges<'a>(dir: &str, deps: &[&'a str]) -> Vec<&'a str> {
+    let allowed = allowed(dir);
     deps.iter()
         .copied()
         .filter(|dep| !allowed.contains(dep))
         .collect()
+}
+
+/// Every crate `dir` may reach through `LAYERS` edges, itself excluded.
+fn reachable(dir: &str) -> Vec<&'static str> {
+    let mut seen: Vec<&'static str> = Vec::new();
+    let mut stack: Vec<&'static str> = allowed(dir).to_vec();
+    while let Some(next) = stack.pop() {
+        if !seen.contains(&next) {
+            seen.push(next);
+            stack.extend_from_slice(allowed(next));
+        }
+    }
+    seen
 }
 
 #[test]
@@ -130,4 +165,22 @@ aimq = { path = \"../core\" }
     assert_eq!(deps, vec!["catalog", "serve"]);
     assert_eq!(upward_edges("storage", &deps), vec!["serve"]);
     assert!(upward_edges("core", &["storage", "afd"]).is_empty());
+}
+
+#[test]
+fn probe_free_crates_cannot_reach_the_source() {
+    // AIMQ learns its dependencies and similarities offline, from a
+    // probed sample (paper, Sections 3-5). With `storage` out of reach,
+    // `use aimq_storage::WebDatabase` fails to resolve in these crates,
+    // so none of them can issue a probe; `manifests_follow_the_crate_dag`
+    // keeps their manifests inside these rows.
+    for dir in PROBE_FREE {
+        let reach = reachable(dir);
+        assert!(
+            !reach.contains(&"storage"),
+            "crate `{dir}` may reach `storage` through {reach:?}; it must stay probe-free"
+        );
+    }
+    // The engine, by contrast, reaches the source through its row.
+    assert!(reachable("core").contains(&"storage"));
 }

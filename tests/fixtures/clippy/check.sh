@@ -1,12 +1,14 @@
 #!/bin/sh
 # Checks that rustc, clippy and Cargo enforce what the retired xtask
 # rules (panic, hashmap, wallclock, layering, result-discipline,
-# degradation-flow, atomics-audit, counter-arith, lock-discipline) used
-# to. Every violation crate in this directory must fail under
-# `cargo clippy -- -D warnings` with exactly the expected number of
-# diagnostics per lint or error code; every twin must pass, test
-# targets included. `lock_leaf_expect` is the twin of both `lock_leaf`
-# and `raw_mutex`.
+# degradation-flow, atomics-audit, counter-arith, lock-discipline,
+# probe-effect) used to. Every violation crate in this directory must
+# fail under `cargo clippy -- -D warnings` with exactly the expected
+# number of diagnostics per lint or error code; every twin must pass,
+# test targets included. `lock_leaf_expect` is the twin of both
+# `lock_leaf` and `raw_mutex`. `layering` (E0432 on an undeclared
+# crate) stands for `probe-effect` too: the probe-free crates do not
+# declare `aimq-storage` (tests/crate_dag.rs).
 #
 # Usage: tests/fixtures/clippy/check.sh   (from any directory)
 set -u

@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::{lint_root, LintReport};
+use xtask::{lint_root, LintReport, PANIC_CRATES};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -95,47 +95,45 @@ fn real_workspace_is_lint_clean() {
     );
 }
 
-#[test]
-fn probe_free_crates_have_empty_probing_sets() {
-    // The L8 fixpoint is the proof: `afd`, `sim`, `rock` and `catalog`
-    // are pure in-memory layers, and no function in them may reach
-    // `WebDatabase::try_query` — not even transitively through storage
-    // helpers. An empty set here is a workspace invariant, not luck.
-    let summary =
-        xtask::probe_summary(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("scan workspace");
-    for crate_name in ["afd", "catalog", "rock", "sim"] {
-        let probing = summary
-            .probing_by_crate
-            .get(crate_name)
-            .map(|fns| fns.iter().cloned().collect::<Vec<_>>())
-            .unwrap_or_default();
-        assert!(
-            probing.is_empty(),
-            "crate `{crate_name}` must stay probe-free, but these functions \
-             can reach `try_query`: {probing:?}"
-        );
-    }
+/// Does `lib_rs` deny `clippy::unwrap_used` in a crate-level
+/// `#![deny(...)]` attribute? (A mention in a doc comment does not
+/// count.)
+fn denies_unwrap_used(lib_rs: &str) -> bool {
+    lib_rs.split("#![deny(").skip(1).any(|attr| {
+        attr.split(")]")
+            .next()
+            .is_some_and(|lints| lints.split(',').any(|l| l.trim() == "clippy::unwrap_used"))
+    })
 }
 
 #[test]
-fn checked_in_probe_entrypoint_list_is_current() {
-    // `results/PROBE_ENTRYPOINTS.txt` is the reviewed probing surface;
-    // a new probe path must show up in the diff of that file, never
-    // slide in silently. Regenerate with `cargo xtask probes --write`.
-    let summary =
-        xtask::probe_summary(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("scan workspace");
-    let rendered: String = summary
-        .entries
-        .iter()
-        .map(|e| format!("{} {}\n", e.path.display(), e.fn_name))
+fn panic_crates_are_the_crates_that_deny_unwrap_used() {
+    // The `indexing` and float-ordering rules cover exactly the library
+    // crates that promise panic-freedom at their root, so a new library
+    // crate cannot fall out of the lint's scope unnoticed.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut denying: Vec<String> = std::fs::read_dir(&crates)
+        .expect("read crates/")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|dir| {
+            std::fs::read_to_string(dir.join("src/lib.rs"))
+                .is_ok_and(|text| denies_unwrap_used(&text))
+        })
+        .map(|dir| {
+            dir.file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned()
+        })
         .collect();
-    let checked_in = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("results/PROBE_ENTRYPOINTS.txt"),
-    )
-    .expect("results/PROBE_ENTRYPOINTS.txt exists");
+    denying.sort();
+    let mut listed: Vec<String> = PANIC_CRATES.iter().map(|c| c.to_string()).collect();
+    listed.sort();
     assert_eq!(
-        checked_in, rendered,
-        "probing surface drifted; regenerate with `cargo xtask probes --write` \
-         and review the diff"
+        listed, denying,
+        "xtask::PANIC_CRATES must list exactly the crates whose lib.rs denies clippy::unwrap_used"
     );
+    assert!(!denies_unwrap_used(
+        "//! (`clippy::unwrap_used` and friends)"
+    ));
 }
