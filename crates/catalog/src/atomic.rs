@@ -14,9 +14,10 @@
 //!   `is_set` an `Acquire` load, so everything the setter wrote before
 //!   raising the flag is visible to a reader that sees it raised.
 //!
-//! Protocols that need more (the storage meter's seqlock, the serving
-//! backlog's up-and-down count) keep raw atomics in their own audited
-//! module.
+//! Shared state that needs more than one independent counter or flag
+//! (the storage access meter, the serving queue's in-flight count) is
+//! a [`crate::Leaf`] instead, so this is the only module that names a
+//! raw atomic.
 #![expect(
     clippy::disallowed_types,
     reason = "the audited home of the Relaxed-counter and Release/Acquire-flag atomics"

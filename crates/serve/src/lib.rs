@@ -20,9 +20,10 @@
 //! `Arc`-wrapped [`aimq::AimqSystem`] and one shared source stack
 //! (typically a lock-striped `CachedWebDb` over the fault-tolerant
 //! access layer). In front of the pool sits a bounded
-//! [`AdmissionQueue`]: when the backlog reaches capacity, new queries
-//! are refused with a typed [`ServeError::Overloaded`] — backpressure
-//! is explicit, never an unbounded buffer or a silent drop.
+//! [`AdmissionQueue`]: once the queries queued or in service reach
+//! `workers + queue_capacity`, new queries are refused with a typed
+//! [`ServeError::Overloaded`] — backpressure is explicit, never an
+//! unbounded buffer or a silent drop.
 //!
 //! Per-query **deadlines** run on virtual time: every in-flight query
 //! gets a private [`DeadlineWebDb`] charging fixed ticks per probe, so
@@ -40,14 +41,13 @@
 //! whole runtime replays byte-identically, which is what makes its
 //! concurrency tests assertable.
 
-mod backlog;
 mod deadline;
 mod queue;
 mod server;
 mod stats;
 
 pub use deadline::DeadlineWebDb;
-pub use queue::{AdmissionQueue, PushError};
+pub use queue::{AdmissionQueue, Admitted, PushError};
 pub use server::{QueryServer, ServeConfig, ServeOutcome, ServeResult, Ticket};
 pub use stats::{ServeStats, ServeStatsSnapshot, LATENCY_BUCKETS};
 

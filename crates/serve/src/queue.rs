@@ -1,15 +1,18 @@
 //! Bounded admission queue with backpressure.
 //!
 //! The serving runtime admits work through one [`AdmissionQueue`]: a
-//! fixed-capacity FIFO that *rejects* — never blocks, never silently
-//! drops — when full. Producers get the item back in the error so they
-//! can surface a typed `Overloaded` to the caller; consumers block on a
-//! condition variable and drain remaining items after [`close`]
-//! (graceful shutdown: everything admitted is eventually served).
+//! FIFO that counts every admitted item until its consumer releases it,
+//! and *rejects* — never blocks, never silently drops — once that count
+//! reaches the queue's limit. Producers get the item back in the error
+//! so they can surface a typed `Overloaded` to the caller; consumers
+//! block on a condition variable and drain remaining items after
+//! [`close`] (graceful shutdown: everything admitted is eventually
+//! served).
 //!
 //! [`close`]: AdmissionQueue::close
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Condvar;
 
 use aimq_catalog::{Leaf, Plain};
@@ -18,7 +21,7 @@ use aimq_catalog::{Leaf, Plain};
 /// or retry — admission control must never lose work silently.
 #[derive(Debug)]
 pub enum PushError<T> {
-    /// The queue is at capacity; the caller should shed load.
+    /// The queue is at its limit; the caller should shed load.
     Overloaded(T),
     /// The queue was closed; no new work is accepted.
     Closed(T),
@@ -26,15 +29,23 @@ pub enum PushError<T> {
 
 struct QueueState<T> {
     items: VecDeque<T>,
+    /// Admitted items not yet released: queued, or popped and in
+    /// service.
+    in_flight: usize,
     closed: bool,
 }
 
-/// Queued items and a flag.
+/// Queued items, a count and a flag.
 impl<T: Plain> Plain for QueueState<T> {}
 
 /// A bounded multi-producer multi-consumer FIFO.
 ///
-/// All coordination is a single mutex plus one condition variable —
+/// The bound is on items *in flight*: an item holds its slot from
+/// [`AdmissionQueue::try_push`] until the [`Admitted`] handle that
+/// [`AdmissionQueue::pop`] returns for it is released or dropped, so
+/// items a consumer is still working on count against the limit.
+///
+/// All coordination is a single [`Leaf`] plus one condition variable —
 /// simple enough to exhaustively test (see the dual-order smoke test)
 /// and free of ordering subtleties. Throughput is bounded by the
 /// engine work per item, not by queue handoff, so a finer-grained
@@ -42,29 +53,26 @@ impl<T: Plain> Plain for QueueState<T> {}
 pub struct AdmissionQueue<T> {
     state: Leaf<QueueState<T>>,
     available: Condvar,
-    capacity: usize,
+    limit: usize,
 }
 
 impl<T: Plain> AdmissionQueue<T> {
-    /// An open queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    /// An open queue holding at most `limit` items in flight (minimum
+    /// 1).
+    pub fn new(limit: usize) -> Self {
         AdmissionQueue {
             state: Leaf::new(QueueState {
                 items: VecDeque::new(),
+                in_flight: 0,
                 closed: false,
             }),
             available: Condvar::new(),
-            capacity: capacity.max(1),
+            limit: limit.max(1),
         }
     }
 
-    /// Capacity this queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current depth (racy by nature; exact under the caller's own lock
-    /// discipline only).
+    /// Items waiting for a consumer (racy by nature; exact under the
+    /// caller's own lock discipline only).
     pub fn len(&self) -> usize {
         self.state.with((), |state, ()| state.items.len())
     }
@@ -74,21 +82,26 @@ impl<T: Plain> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    /// Admit `item`, returning the depth *after* the push, or give it
-    /// back with the reason admission failed. Never blocks.
+    /// Items admitted and not yet released: queued, or with a consumer.
+    pub fn in_flight(&self) -> usize {
+        self.state.with((), |state, ()| state.in_flight)
+    }
+
+    /// Admit `item`, returning the number of waiting items *after* the
+    /// push, or give it back with the reason admission failed. Never
+    /// blocks.
     pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let pushed = self
-            .state
-            .with((item, self.capacity), |state, (item, capacity)| {
-                if state.closed {
-                    return Err(PushError::Closed(item));
-                }
-                if state.items.len() >= capacity {
-                    return Err(PushError::Overloaded(item));
-                }
-                state.items.push_back(item);
-                Ok(state.items.len())
-            });
+        let pushed = self.state.with((item, self.limit), |state, (item, limit)| {
+            if state.closed {
+                return Err(PushError::Closed(item));
+            }
+            if state.in_flight >= limit {
+                return Err(PushError::Overloaded(item));
+            }
+            state.in_flight = state.in_flight.saturating_add(1);
+            state.items.push_back(item);
+            Ok(state.items.len())
+        });
         if pushed.is_ok() {
             self.available.notify_one();
         }
@@ -97,13 +110,18 @@ impl<T: Plain> AdmissionQueue<T> {
 
     /// Block until an item is available or the queue is closed *and*
     /// drained. `None` means shutdown: every admitted item has been
-    /// handed to some consumer.
-    pub fn pop(&self) -> Option<T> {
-        self.state.wait_for(&self.available, (), |state, ()| {
+    /// handed to some consumer. The item keeps its slot until the
+    /// returned handle is released or dropped.
+    pub fn pop(&self) -> Option<Admitted<'_, T>> {
+        let item = self.state.wait_for(&self.available, (), |state, ()| {
             match state.items.pop_front() {
                 Some(item) => Some(Some(item)),
                 None => state.closed.then_some(None),
             }
+        })?;
+        Some(Admitted {
+            _slot: Slot(self),
+            item,
         })
     }
 
@@ -112,6 +130,45 @@ impl<T: Plain> AdmissionQueue<T> {
     pub fn close(&self) {
         self.state.with((), |state, ()| state.closed = true);
         self.available.notify_all();
+    }
+}
+
+/// An item taken off an [`AdmissionQueue`], still holding its in-flight
+/// slot. The slot is released by [`Admitted::release`], or when the
+/// handle is dropped — including while a panicking consumer unwinds —
+/// and always before the item itself is dropped.
+pub struct Admitted<'a, T: Plain> {
+    /// Declared first, so a dropped handle releases the slot before it
+    /// drops the item.
+    _slot: Slot<'a, T>,
+    item: T,
+}
+
+impl<T: Plain> Admitted<'_, T> {
+    /// Release the slot and hand out the item.
+    pub fn release(self) -> T {
+        let Admitted { _slot, item } = self;
+        drop(_slot);
+        item
+    }
+}
+
+impl<T: Plain> Deref for Admitted<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.item
+    }
+}
+
+/// One in-flight slot of an [`AdmissionQueue`], given back on drop.
+struct Slot<'a, T: Plain>(&'a AdmissionQueue<T>);
+
+impl<T: Plain> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        self.0.state.with((), |state, ()| {
+            state.in_flight = state.in_flight.saturating_sub(1);
+        });
     }
 }
 
@@ -129,7 +186,7 @@ mod tests {
             q.try_push(i).unwrap();
         }
         for i in 0..4 {
-            assert_eq!(q.pop(), Some(i));
+            assert_eq!(q.pop().map(Admitted::release), Some(i));
         }
     }
 
@@ -142,9 +199,19 @@ mod tests {
             Err(PushError::Overloaded(item)) => assert_eq!(item, "c"),
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        // Draining one slot re-opens admission.
-        assert_eq!(q.pop(), Some("a"));
+        // A popped item keeps its slot until it is released.
+        let a = q.pop().expect("queued");
+        assert_eq!(*a, "a");
+        assert_eq!((q.len(), q.in_flight()), (1, 2));
+        assert!(matches!(q.try_push("c"), Err(PushError::Overloaded("c"))));
+        // Releasing one slot re-opens admission; the depth counts only
+        // waiting items.
+        assert_eq!(a.release(), "a");
+        assert_eq!(q.in_flight(), 1);
         assert_eq!(q.try_push("c").unwrap(), 2);
+        // A dropped handle releases its slot too.
+        drop(q.pop());
+        assert_eq!((q.len(), q.in_flight()), (1, 1));
     }
 
     #[test]
@@ -157,10 +224,11 @@ mod tests {
             Err(PushError::Closed(item)) => assert_eq!(item, 3),
             other => panic!("expected Closed, got {other:?}"),
         }
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None, "closed queue stays closed");
+        assert_eq!(q.pop().map(Admitted::release), Some(1));
+        assert_eq!(q.pop().map(Admitted::release), Some(2));
+        assert!(q.pop().is_none());
+        assert!(q.pop().is_none(), "closed queue stays closed");
+        assert_eq!(q.in_flight(), 0);
     }
 
     #[test]
@@ -169,7 +237,7 @@ mod tests {
         let consumers: Vec<_> = (0..3)
             .map(|_| {
                 let q = Arc::clone(&q);
-                thread::spawn(move || q.pop())
+                thread::spawn(move || q.pop().map(Admitted::release))
             })
             .collect();
         q.close();
@@ -198,7 +266,7 @@ mod tests {
                         let count = Arc::clone(&count);
                         thread::spawn(move || {
                             while let Some(v) = q.pop() {
-                                consumed.add(v);
+                                consumed.add(v.release());
                                 count.incr();
                             }
                         })
@@ -249,6 +317,7 @@ mod tests {
             }
             assert_eq!(count.get(), 4 * 64);
             assert_eq!(consumed.get(), produced);
+            assert_eq!(q.in_flight(), 0);
         }
     }
 }

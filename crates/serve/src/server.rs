@@ -23,8 +23,7 @@ use aimq::{AimqSystem, AnswerSet, EngineConfig};
 use aimq_catalog::{ImpreciseQuery, Leaf, Plain};
 use aimq_storage::WebDatabase;
 
-use crate::backlog::{Backlog, BacklogSlot};
-use crate::queue::{AdmissionQueue, PushError};
+use crate::queue::{AdmissionQueue, Admitted, PushError};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
 use crate::{DeadlineWebDb, ServeError};
 
@@ -71,18 +70,12 @@ pub struct ServeOutcome {
 pub type ServeResult = Result<ServeOutcome, ServeError>;
 
 struct Request {
-    /// This request's backlog reservation, released when the request is
-    /// dropped: after its reply is sent, when the queue refuses it, or
-    /// while a panicking worker unwinds. Declared first so it is
-    /// released before `reply` closes, so a waiter woken by a dropped
-    /// reply never sees its own slot still held.
-    _slot: BacklogSlot,
     query: ImpreciseQuery,
     reply: mpsc::Sender<ServeResult>,
 }
 
-/// A query, a reply sender whose `send` never blocks and a slot whose
-/// release is one atomic decrement; the queue only moves requests.
+/// A query and a reply sender whose `send` never blocks; the queue only
+/// moves requests.
 impl Plain for Request {}
 
 /// Handle to one admitted query; redeem with [`Ticket::wait`].
@@ -104,8 +97,6 @@ impl Ticket {
 pub struct QueryServer {
     queue: Arc<AdmissionQueue<Request>>,
     stats: Arc<ServeStats>,
-    /// Admitted queries that are queued or on a worker.
-    backlog: Arc<Backlog>,
     engine_config: Arc<Leaf<EngineConfig>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -121,12 +112,12 @@ impl QueryServer {
         config: ServeConfig,
     ) -> QueryServer {
         let workers = config.workers.max(1);
-        let queue = Arc::new(AdmissionQueue::new(config.queue_capacity.max(1)));
-        let stats = Arc::new(ServeStats::new(workers));
         // Backpressure bound: admitted work is either queued or on a
         // worker; beyond queue + workers there is nowhere for it to go
         // but a growing backlog, so it is rejected instead.
-        let backlog = Backlog::new(config.queue_capacity.max(1).saturating_add(workers));
+        let limit = config.queue_capacity.max(1).saturating_add(workers);
+        let queue = Arc::new(AdmissionQueue::new(limit));
+        let stats = Arc::new(ServeStats::new(workers));
         let engine_config = Arc::new(Leaf::new(config.engine));
         let handles = (0..workers)
             .map(|worker_id| {
@@ -150,33 +141,21 @@ impl QueryServer {
         QueryServer {
             queue,
             stats,
-            backlog,
             engine_config,
             workers: handles,
         }
     }
 
     /// Offer a query. Admitted queries return a [`Ticket`]; when the
-    /// backlog (queued + in service) is at capacity the query is
+    /// backlog (queued + in service) is at its limit the query is
     /// rejected with [`ServeError::Overloaded`] — backpressure is a
     /// typed refusal, never an unbounded buffer or a silent drop.
     pub fn submit(&self, query: ImpreciseQuery) -> Result<Ticket, ServeError> {
         self.stats.note_submitted();
-        // Reserve a backlog slot first; the queue's own capacity check
-        // alone would let `workers` extra requests slip in while their
-        // predecessors occupy the workers.
-        let Some(slot) = self.backlog.try_reserve() else {
-            self.stats.note_rejected();
-            return Err(ServeError::Overloaded);
-        };
         let (tx, rx) = mpsc::channel();
-        let request = Request {
-            _slot: slot,
-            query,
-            reply: tx,
-        };
-        // A refused request comes back in the error and is dropped
-        // with it, which releases its slot.
+        let request = Request { query, reply: tx };
+        // A refused request comes back in the error and is dropped with
+        // it; it never held a slot.
         match self.queue.try_push(request) {
             Ok(depth) => {
                 self.stats.note_admitted(depth);
@@ -265,7 +244,7 @@ fn serve_one(
     engine: &EngineConfig,
     stats: &ServeStats,
     worker: usize,
-    request: Request,
+    request: Admitted<'_, Request>,
 ) {
     let deadline_db = DeadlineWebDb::new(db, config.deadline_ticks, config.ticks_per_probe);
     let answer = system.answer(&deadline_db, &request.query, engine);
@@ -286,6 +265,10 @@ fn serve_one(
             worker,
         })
     };
+    // The slot goes back before the reply goes out, so a waiter never
+    // sees its own query still in flight. A panic above drops `request`
+    // whole, which releases the slot before it drops the reply.
+    let request = request.release();
     // A dropped ticket (caller gave up) is not an error for the server,
     // but it is an observable event: an abandoned-caller spike means
     // deadlines and client patience have drifted apart.
@@ -618,9 +601,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let backlog = Backlog::new(4);
         let request = || Request {
-            _slot: backlog.try_reserve().expect("backlog has room"),
             query: query.clone(),
             reply: mpsc::channel().0,
         };
@@ -630,14 +611,10 @@ mod tests {
             queue.try_push(request()),
             Err(PushError::Overloaded(_))
         ));
-        assert_eq!(
-            backlog.occupied(),
-            1,
-            "the refused request released its slot"
-        );
+        assert_eq!(queue.in_flight(), 1, "a refused request holds no slot");
         drop(queue.pop());
         assert_eq!(
-            backlog.occupied(),
+            queue.in_flight(),
             0,
             "the dropped request released its slot"
         );
@@ -685,6 +662,6 @@ mod tests {
             matches!(outcome, Err(ServeError::ShuttingDown)),
             "the unwinding worker drops the reply: {outcome:?}"
         );
-        assert_eq!(server.backlog.occupied(), 0);
+        assert_eq!(server.queue.in_flight(), 0);
     }
 }

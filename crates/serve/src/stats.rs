@@ -2,10 +2,11 @@
 //! latency histogram in virtual ticks, and per-worker utilization.
 //!
 //! Every field is an [`aimq_catalog::Counter`] (relaxed atomics) — the
-//! counters are monotone and independently meaningful, so cross-field snapshot consistency (which
-//! the storage meter's seqlock provides for `Work` accounting) is not
-//! needed here; a snapshot that is off by one in-flight query is still
-//! a correct observation of a concurrent system.
+//! counters are monotone and independently meaningful, so cross-field
+//! snapshot consistency (which the storage meter's single `Leaf`
+//! section provides for `Work` accounting) is not needed here; a
+//! snapshot that is off by one in-flight query is still a correct
+//! observation of a concurrent system.
 //!
 //! Latencies are measured in **virtual probe ticks** (the per-query
 //! [`crate::DeadlineWebDb`] clock), not wall time: the histogram of a

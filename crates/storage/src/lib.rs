@@ -57,7 +57,6 @@ mod federated;
 mod postings;
 mod resilient;
 mod sampler;
-mod stats_cell;
 mod web;
 
 pub use aimq_relation::{
@@ -73,5 +72,4 @@ pub use federated::{
 pub use postings::{execute_query, intersect_gallop, ExecStats, PlanExecutor};
 pub use resilient::{ResilienceReport, ResilientWebDb, RetryPolicy, VirtualClock};
 pub use sampler::{probe_by_spanning_queries, random_sample, ProbeError};
-pub use stats_cell::StatsCell;
 pub use web::{AccessStats, InMemoryWebDb, QueryError, QueryPage, WebDatabase};

@@ -719,6 +719,61 @@ mod tests {
         assert_eq!(db.inner().stats().queries_issued, B);
     }
 
+    /// Breaker conservation under concurrency: W threads race M probes
+    /// each through one shared wrapper over a failing source. Every
+    /// admission loop pass is one `Leaf` section that either counts an
+    /// attempt or fails fast, and every pass after the first is a
+    /// counted retry; the fault layer sees exactly the attempts; a
+    /// recovery needs a trip before it; and the access meter reports
+    /// the breaker's own trips.
+    #[test]
+    fn breaker_accounting_is_conserved_under_concurrent_probes() {
+        const W: u64 = 4;
+        const M: u64 = 100;
+        for (p, threshold) in [(1.0, 8), (0.5, 3), (0.9, 2)] {
+            let failing = FaultInjectingWebDb::new(
+                base_db(),
+                FaultProfile {
+                    transient_probability: p,
+                    ..FaultProfile::none()
+                },
+                11,
+            );
+            let db = ResilientWebDb::new(
+                failing,
+                RetryPolicy {
+                    breaker_threshold: threshold,
+                    breaker_cooldown: 4,
+                    ..RetryPolicy::default()
+                },
+            );
+            let served: u64 = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..W)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            (0..M)
+                                .filter(|_| db.try_query(&SelectionQuery::all()).is_ok())
+                                .count() as u64
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).sum()
+            });
+            let report = db.report();
+            let case = format!("p={p} threshold={threshold}: {report:?}");
+            assert!(served <= report.attempts, "{case}");
+            assert_eq!(
+                report.attempts + report.fast_failures,
+                W * M + report.retries,
+                "{case}"
+            );
+            assert_eq!(db.inner().stats().queries_issued, report.attempts, "{case}");
+            assert!(report.breaker_trips > 0, "{case}");
+            assert!(report.breaker_recoveries <= report.breaker_trips, "{case}");
+            assert_eq!(db.stats().breaker_trips, report.breaker_trips, "{case}");
+        }
+    }
+
     #[test]
     fn same_seeds_replay_identical_sessions() {
         let run = || {

@@ -1,10 +1,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use aimq_catalog::{Json, Plain, Schema, SelectionQuery, Tuple};
+use aimq_catalog::{Json, Leaf, Plain, Schema, SelectionQuery, Tuple};
 use serde::{Deserialize, Serialize};
 
-use crate::{execute, Relation, StatsCell};
+use crate::{execute, Relation};
 
 /// Why a probe against an autonomous source failed.
 ///
@@ -120,6 +120,9 @@ pub struct AccessStats {
     /// Cached pages evicted to respect the cache capacity bound.
     pub cache_evictions: u64,
 }
+
+/// Ten counters.
+impl Plain for AccessStats {}
 
 impl AccessStats {
     /// Per-field difference `self - earlier`, saturating at zero — the
@@ -256,10 +259,9 @@ pub trait WebDatabase: Send + Sync {
         out
     }
 
-    /// Snapshot of the access meter. All fields are read as one torn-free
-    /// snapshot (the seqlock [`StatsCell`]), so `Work/RelevantTuple`
-    /// derived from a snapshot is internally consistent even under
-    /// concurrent probing.
+    /// Snapshot of the access meter. [`InMemoryWebDb`] copies all fields
+    /// in one [`Leaf`] section, so `Work/RelevantTuple` derived from a
+    /// snapshot is internally consistent even under concurrent probing.
     fn stats(&self) -> AccessStats;
 
     /// Reset the access meter (used between experiment runs).
@@ -277,13 +279,13 @@ pub trait WebDatabase: Send + Sync {
 /// An in-memory [`WebDatabase`] over a [`Relation`], standing in for the
 /// paper's MySQL-backed Yahoo Autos / Census deployments.
 ///
-/// Cloning shares the underlying relation *and* the meter. The meter is a
-/// [`StatsCell`], so concurrent workers probing one shared source never
-/// serialize on a stats mutex.
+/// Cloning shares the underlying relation *and* the meter. The meter is
+/// one [`Leaf`]: a probe records its whole delta in one section, so no
+/// snapshot sees half of it.
 #[derive(Debug, Clone)]
 pub struct InMemoryWebDb {
     relation: Arc<Relation>,
-    stats: Arc<StatsCell>,
+    stats: Arc<Leaf<AccessStats>>,
     /// Maximum tuples returned per query (`None` = unlimited). Real Web
     /// form interfaces cap result pages; AIMQ must cope with truncation.
     result_limit: Option<usize>,
@@ -294,7 +296,7 @@ impl InMemoryWebDb {
     pub fn new(relation: Relation) -> Self {
         InMemoryWebDb {
             relation: Arc::new(relation),
-            stats: Arc::new(StatsCell::new()),
+            stats: Arc::new(Leaf::new(AccessStats::default())),
             result_limit: None,
         }
     }
@@ -327,12 +329,13 @@ impl InMemoryWebDb {
             }
             _ => false,
         };
-        self.stats.record(AccessStats {
+        let delta = AccessStats {
             queries_issued: 1,
             tuples_returned: tuples.len() as u64,
             truncated_queries: u64::from(truncated),
             ..AccessStats::default()
-        });
+        };
+        self.stats.with(delta, |s, d| *s = s.merge(&d));
         QueryPage { tuples, truncated }
     }
 }
@@ -367,11 +370,11 @@ impl WebDatabase for InMemoryWebDb {
     }
 
     fn stats(&self) -> AccessStats {
-        self.stats.snapshot()
+        self.stats.with((), |s, ()| *s)
     }
 
     fn reset_stats(&self) {
-        self.stats.reset();
+        self.stats.with((), |s, ()| *s = AccessStats::default());
     }
 }
 
@@ -462,13 +465,16 @@ mod tests {
 
     #[test]
     fn stats_snapshot_is_seqlock_consistent() {
-        // Hammer the meter from several threads; every snapshot must obey
-        // the invariant `tuples_returned == 3 * queries_issued` (each
-        // all-query returns all 3 tuples), which two separate relaxed
-        // atomic loads would not guarantee. The meter moved from a
-        // `Mutex<AccessStats>` to the seqlock `StatsCell`; this test pins
-        // that the move kept snapshots torn-free.
-        let db = db();
+        // Hammer the meter from several threads. Under a page limit of 2
+        // every all-query is clipped from 3 tuples, so every snapshot must
+        // obey `tuples_returned == 2 * queries_issued` and
+        // `truncated_queries == queries_issued`, which per-counter loads
+        // would not guarantee. A probe records its whole delta in one
+        // `Leaf` section; this test pins that no snapshot sees half of one
+        // (the name dates from the seqlock meter the `Leaf` replaced).
+        let db = db().with_result_limit(2);
+        db.try_query(&SelectionQuery::all()).unwrap();
+        let marker = db.stats();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let worker = db.clone();
@@ -484,7 +490,11 @@ mod tests {
                 let s = reader.stats();
                 assert_eq!(
                     s.tuples_returned,
-                    3 * s.queries_issued,
+                    2 * s.queries_issued,
+                    "snapshot tore: {s:?}"
+                );
+                assert_eq!(
+                    s.truncated_queries, s.queries_issued,
                     "snapshot tore: {s:?}"
                 );
             }
@@ -493,9 +503,23 @@ mod tests {
             h.join().unwrap();
         }
         checker.join().unwrap();
-        let s = db.stats();
-        assert_eq!(s.queries_issued, 2000);
-        assert_eq!(s.tuples_returned, 6000);
+        // `since` a marker counts only the traffic after it.
+        let before_reset = db.stats();
+        let delta = before_reset.since(&marker);
+        assert_eq!(delta.queries_issued, 2000);
+        assert_eq!(delta.tuples_returned, 4000);
+        assert_eq!(delta.truncated_queries, 2000);
+        assert_eq!(delta.failures, 0);
+        // A reset zeroes every counter, and a marker from before the
+        // reset yields a delta that saturates at zero.
+        db.reset_stats();
+        assert_eq!(db.stats(), AccessStats::default());
+        db.try_query(&SelectionQuery::all()).unwrap();
+        assert_eq!(db.stats().since(&before_reset), AccessStats::default());
+        let fresh = db.stats().since(&AccessStats::default());
+        assert_eq!(fresh.queries_issued, 1);
+        assert_eq!(fresh.tuples_returned, 2);
+        assert_eq!(fresh.truncated_queries, 1);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! crate DAG (Cargo plus the `tests/crate_dag.rs` manifest test), fault
 //! discipline (`#[must_use]` on the fault enums plus the
 //! `let_underscore_*`, `unused_result_ok` and wildcard-match lints),
-//! atomics (the raw types are banned outside three audited modules;
-//! `aimq_catalog::Counter` and `Flag` fix the orderings), lock
+//! atomics (the raw types are banned outside `aimq_catalog::atomic`,
+//! whose `Counter` and `Flag` fix the orderings), lock
 //! discipline (raw `Mutex`/`RwLock` are banned; an `aimq_catalog::Leaf`
 //! section is a `fn` pointer over `Plain` data, so it cannot probe,
 //! block or nest), counter arithmetic

@@ -3,7 +3,9 @@
 //! 1. **overload pinning** — with queue capacity K and W gated workers,
 //!    offering W + K + M queries admits exactly W + K and rejects
 //!    exactly M with a typed `Overloaded`; nothing is silently dropped,
-//!    and after the gate lifts every admitted query is served;
+//!    and after the gate lifts every admitted query is served. A burst
+//!    of W + K offered back to back to a fresh server, before any
+//!    worker has taken a query, is admitted whole too;
 //! 2. **wait overlap** — with W workers and W queries, W source probes
 //!    are in flight at once, one per worker (pinned on a gate, not
 //!    timed), so a latency-bound source serves W-fold throughput;
@@ -202,6 +204,54 @@ fn overload_rejects_exactly_the_excess_and_drops_nothing() {
     assert_eq!(stats.submitted, (WORKERS + CAPACITY + EXCESS) as u64);
     assert_eq!(stats.admitted, (WORKERS + CAPACITY) as u64);
     assert_eq!(stats.rejected, EXCESS as u64);
+    assert_eq!(stats.completed, (WORKERS + CAPACITY) as u64);
+}
+
+#[test]
+fn a_burst_of_workers_plus_capacity_is_admitted_whole() {
+    // The limit counts queries queued or in service, however far the
+    // workers have got: W + K submissions offered back to back to a
+    // fresh server, before any worker has taken one, are all admitted,
+    // and only the next one is refused.
+    const WORKERS: usize = 4;
+    const CAPACITY: usize = 1;
+    let h = harness();
+    let gated = Arc::new(GatedWebDb::new(InMemoryWebDb::new(h.relation.clone())));
+    let server = QueryServer::start(
+        Arc::clone(&h.system),
+        Arc::clone(&gated) as Arc<dyn WebDatabase>,
+        ServeConfig {
+            workers: WORKERS,
+            queue_capacity: CAPACITY,
+            engine: config(),
+            ..ServeConfig::default()
+        },
+    );
+    let q = &h.queries[0];
+    let burst: Vec<Result<Ticket, ServeError>> = (0..WORKERS + CAPACITY)
+        .map(|_| server.submit(q.clone()))
+        .collect();
+    // The gate is shut, so no admitted query can finish and free a slot.
+    let next = server.submit(q.clone());
+    // Open the gate before asserting: a failure then drains the server
+    // instead of hanging its drop on parked workers.
+    gated.open_gate();
+    let refused: Vec<String> = burst
+        .iter()
+        .filter_map(|r| r.as_ref().err().map(ToString::to_string))
+        .collect();
+    assert!(refused.is_empty(), "a W+K burst was refused: {refused:?}");
+    assert!(
+        matches!(next, Err(ServeError::Overloaded)),
+        "expected Overloaded, got {:?}",
+        next.map(|_| "ticket")
+    );
+    for t in burst.into_iter().flatten() {
+        assert!(t.wait().is_ok());
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.admitted, (WORKERS + CAPACITY) as u64);
+    assert_eq!(stats.rejected, 1);
     assert_eq!(stats.completed, (WORKERS + CAPACITY) as u64);
 }
 
