@@ -1,3 +1,4 @@
+use std::cmp::Ordering;
 use std::fmt;
 
 use aimq_catalog::{AttrId, Schema};
@@ -9,8 +10,20 @@ use serde::{Deserialize, Serialize};
 /// the levelwise search, every AFD antecedent and every approximate key is
 /// an `AttrSet`. 64 attributes is far beyond any Web-form relation (the
 /// paper's widest is CensusDB with 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AttrSet(u64);
+
+impl Ord for AttrSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for AttrSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl AttrSet {
     /// Maximum number of attributes representable.

@@ -116,9 +116,18 @@ impl AttributeOrdering {
         let mut wt_depends = vec![0.0; n];
         for afd in mined.afds() {
             let contribution = afd.support() / afd.lhs.len() as f64;
-            wt_depends[afd.rhs.index()] += contribution; // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "schema-sized weight table; AttrId is in-range by construction"
+            )]
+            let depends = &mut wt_depends[afd.rhs.index()];
+            *depends += contribution;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "schema-sized weight table; AttrId is in-range by construction"
+            )]
             for a in afd.lhs.iter() {
-                wt_decides[a.index()] += contribution; // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+                wt_decides[a.index()] += contribution;
             }
         }
 
@@ -128,9 +137,17 @@ impl AttributeOrdering {
         let sort_group = |set: AttrSet, weights: &[f64]| -> Vec<AttrId> {
             let mut attrs: Vec<AttrId> = set.iter().collect();
             attrs.sort_by(|&a, &b| {
-                weights[a.index()] // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
-                    .total_cmp(&weights[b.index()]) // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
-                    .then(a.cmp(&b))
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schema-sized weight table; AttrId is in-range by construction"
+                )]
+                let wa = weights[a.index()];
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schema-sized weight table; AttrId is in-range by construction"
+                )]
+                let wb = weights[b.index()];
+                wa.total_cmp(&wb).then(a.cmp(&b))
             });
             attrs
         };
@@ -140,15 +157,33 @@ impl AttributeOrdering {
         // Wimp(k) = RelaxOrder(k)/count × Wt(k)/ΣWt(group), with optional
         // Laplace smoothing and a uniform fallback when a group's weights
         // sum to zero (no AFDs touching it).
-        let sum_decides: f64 = deciding.iter().map(|a| wt_decides[a.index()]).sum(); // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
-        let sum_depends: f64 = dependent.iter().map(|a| wt_depends[a.index()]).sum(); // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "schema-sized weight table; AttrId is in-range by construction"
+        )]
+        let sum_decides: f64 = deciding.iter().map(|a| wt_decides[a.index()]).sum();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "schema-sized weight table; AttrId is in-range by construction"
+        )]
+        let sum_depends: f64 = dependent.iter().map(|a| wt_depends[a.index()]).sum();
         let mut importance = vec![0.0; n];
         for (pos, &attr) in relax_order.iter().enumerate() {
             let relax_order_k = (pos + 1) as f64; // 1-based position
             let (wt, sum, group_len) = if deciding.contains(attr) {
-                (wt_decides[attr.index()], sum_decides, deciding.len()) // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schema-sized weight table; AttrId is in-range by construction"
+                )]
+                let wt = wt_decides[attr.index()];
+                (wt, sum_decides, deciding.len())
             } else {
-                (wt_depends[attr.index()], sum_depends, dependent.len()) // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schema-sized weight table; AttrId is in-range by construction"
+                )]
+                let wt = wt_depends[attr.index()];
+                (wt, sum_depends, dependent.len())
             };
             let smoothed_sum = sum + alpha * group_len as f64;
             let share = if smoothed_sum > 0.0 {
@@ -158,7 +193,12 @@ impl AttributeOrdering {
             } else {
                 0.0
             };
-            importance[attr.index()] = relax_order_k / n as f64 * share; // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "schema-sized weight table; AttrId is in-range by construction"
+            )]
+            let slot = &mut importance[attr.index()];
+            *slot = relax_order_k / n as f64 * share;
         }
 
         Ok(AttributeOrdering {
@@ -196,8 +236,12 @@ impl AttributeOrdering {
         for bound in query_log {
             total_queries += 1;
             for &attr in bound {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "schema-sized weight table; AttrId is in-range by construction"
+                )]
                 if attr.index() < n {
-                    counts[attr.index()] += 1; // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+                    counts[attr.index()] += 1;
                 }
             }
         }
@@ -206,7 +250,11 @@ impl AttributeOrdering {
         }
 
         let mut relax_order: Vec<AttrId> = schema.attr_ids().collect();
-        relax_order.sort_by(|&a, &b| counts[a.index()].cmp(&counts[b.index()]).then(a.cmp(&b))); // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "schema-sized weight table; AttrId is in-range by construction"
+        )]
+        relax_order.sort_by(|&a, &b| counts[a.index()].cmp(&counts[b.index()]).then(a.cmp(&b)));
 
         let total_bindings: usize = counts.iter().sum();
         let importance: Vec<f64> = if total_bindings == 0 {
@@ -251,7 +299,6 @@ impl AttributeOrdering {
     /// Reassemble an ordering from raw parts (model persistence). The
     /// parts must come from a previously constructed ordering; basic
     /// shape checks guard against corrupted input.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
         schema: Schema,
         relax_order: Vec<AttrId>,
@@ -313,8 +360,12 @@ impl AttributeOrdering {
     }
 
     /// Raw importance weight `Wimp(attr)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized weight table; AttrId is in-range by construction"
+    )]
     pub fn importance(&self, attr: AttrId) -> f64 {
-        self.importance[attr.index()] // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+        self.importance[attr.index()]
     }
 
     /// Importance weights for a set of attributes, renormalized to sum to
@@ -342,13 +393,21 @@ impl AttributeOrdering {
     }
 
     /// `Wtdecides` for an attribute (0 when no AFD's antecedent holds it).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized weight table; AttrId is in-range by construction"
+    )]
     pub fn wt_decides(&self, attr: AttrId) -> f64 {
-        self.wt_decides[attr.index()] // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+        self.wt_decides[attr.index()]
     }
 
     /// `Wtdepends` for an attribute (0 when it is no AFD's consequent).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized weight table; AttrId is in-range by construction"
+    )]
     pub fn wt_depends(&self, attr: AttrId) -> f64 {
-        self.wt_depends[attr.index()] // aimq-lint: allow(indexing) -- schema-sized weight table; AttrId is in-range by construction
+        self.wt_depends[attr.index()]
     }
 
     /// The paper's greedy multi-attribute relaxation order for a given
@@ -388,7 +447,10 @@ pub fn combinations_in_order(order: &[AttrId], level: usize) -> Vec<Vec<AttrId>>
     let mut out = Vec::new();
     let mut indices: Vec<usize> = (0..level).collect();
     loop {
-        // aimq-lint: allow(indexing) -- combination cursors stay below n by the rollover invariant
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "combination cursors stay below n by the rollover invariant"
+        )]
         out.push(indices.iter().map(|&i| order[i]).collect());
         // next combination in lexicographic order
         let mut i = level;
@@ -397,14 +459,26 @@ pub fn combinations_in_order(order: &[AttrId], level: usize) -> Vec<Vec<AttrId>>
                 return out;
             }
             i -= 1;
-            // aimq-lint: allow(indexing) -- combination cursors stay below n by the rollover invariant
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "combination cursors stay below n by the rollover invariant"
+            )]
             if indices[i] != i + n - level {
                 break;
             }
         }
-        indices[i] += 1; // aimq-lint: allow(indexing) -- combination cursors stay below n by the rollover invariant
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "combination cursors stay below n by the rollover invariant"
+        )]
+        let cursor = &mut indices[i];
+        *cursor += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "combination cursors stay below n by the rollover invariant"
+        )]
         for j in i + 1..level {
-            indices[j] = indices[j - 1] + 1; // aimq-lint: allow(indexing) -- combination cursors stay below n by the rollover invariant
+            indices[j] = indices[j - 1] + 1;
         }
     }
 }
@@ -499,7 +573,7 @@ mod tests {
         // The most important attribute (last relaxed) has the largest Wimp.
         let max_attr = (0..4)
             .map(AttrId)
-            .max_by(|&a, &b| ord.importance(a).partial_cmp(&ord.importance(b)).unwrap())
+            .max_by(|&a, &b| ord.importance(a).total_cmp(&ord.importance(b)))
             .unwrap();
         assert_eq!(max_attr, AttrId(2));
     }

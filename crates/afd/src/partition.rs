@@ -26,8 +26,12 @@ impl Partition {
             .map_or(0, |&c| c as usize + 1);
         let mut counts = vec![0u32; max_code];
         for &c in codes {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sized to the dictionary cardinality; codes are in-range by interning"
+            )]
             if c != NULL_CODE {
-                counts[c as usize] += 1; // aimq-lint: allow(indexing) -- sized to the dictionary cardinality; codes are in-range by interning
+                counts[c as usize] += 1;
             }
         }
         let mut groups: Vec<Vec<RowId>> = counts
@@ -35,9 +39,17 @@ impl Partition {
             .map(|&n| Vec::with_capacity(if n >= 2 { n as usize } else { 0 }))
             .collect();
         for (row, &c) in codes.iter().enumerate() {
-            // aimq-lint: allow(indexing) -- sized to the dictionary cardinality; codes are in-range by interning
-            if c != NULL_CODE && counts[c as usize] >= 2 {
-                groups[c as usize].push(row as RowId); // aimq-lint: allow(indexing) -- sized to the dictionary cardinality; codes are in-range by interning
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sized to the dictionary cardinality; codes are in-range by interning"
+            )]
+            let grouped = c != NULL_CODE && counts[c as usize] >= 2;
+            if grouped {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "sized to the dictionary cardinality; codes are in-range by interning"
+                )]
+                groups[c as usize].push(row as RowId);
             }
         }
         let classes = groups.into_iter().filter(|g| g.len() >= 2).collect();
@@ -96,23 +108,43 @@ impl Partition {
         const NONE: u32 = u32::MAX;
         let mut t = vec![NONE; self.n_rows];
         for (i, class) in self.classes.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+            )]
             for &row in class {
-                t[row as usize] = i as u32; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                t[row as usize] = i as u32;
             }
         }
         let mut s: Vec<Vec<RowId>> = vec![Vec::new(); self.classes.len()];
         let mut out = Vec::new();
         for class in &other.classes {
             for &row in class {
-                let i = t[row as usize]; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+                )]
+                let i = t[row as usize];
                 if i != NONE {
-                    s[i as usize].push(row); // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+                    )]
+                    s[i as usize].push(row);
                 }
             }
             for &row in class {
-                let i = t[row as usize]; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+                )]
+                let i = t[row as usize];
                 if i != NONE {
-                    let bucket = &mut s[i as usize]; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+                    )]
+                    let bucket = &mut s[i as usize];
                     if bucket.len() >= 2 {
                         out.push(std::mem::take(bucket));
                     } else {
@@ -171,14 +203,22 @@ impl Partition {
         let mut subclass_size = vec![1u64; self.n_rows];
         for class in &refined.classes {
             let len = class.len() as u64;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+            )]
             for &row in class {
-                subclass_size[row as usize] = len; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                subclass_size[row as usize] = len;
             }
         }
         let mut violating: u64 = 0;
         for class in &self.classes {
             let size = class.len() as u64;
-            let sum_sq: u64 = class.iter().map(|&row| subclass_size[row as usize]).sum(); // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+            )]
+            let sum_sq: u64 = class.iter().map(|&row| subclass_size[row as usize]).sum();
             violating += size * size - sum_sq;
         }
         violating as f64 / (self.n_rows as u64 * self.n_rows as u64) as f64
@@ -197,15 +237,23 @@ impl Partition {
         let mut subclass_size = vec![1u32; self.n_rows];
         for class in &refined.classes {
             let len = class.len() as u32;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+            )]
             for &row in class {
-                subclass_size[row as usize] = len; // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                subclass_size[row as usize] = len;
             }
         }
         let mut removed = 0usize;
         for class in &self.classes {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-indexed scratch sized to the relation; rows come from its own partitions"
+            )]
             let max_sub = class
                 .iter()
-                .map(|&row| subclass_size[row as usize]) // aimq-lint: allow(indexing) -- row-indexed scratch sized to the relation; rows come from its own partitions
+                .map(|&row| subclass_size[row as usize])
                 .max()
                 .unwrap_or(1) as usize;
             removed += class.len() - max_sub;

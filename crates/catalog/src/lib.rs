@@ -5,9 +5,10 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing
 )]
-#![deny(clippy::disallowed_types)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![allow(
     clippy::wildcard_enum_match_arm,

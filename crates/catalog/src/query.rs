@@ -1,3 +1,4 @@
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -10,7 +11,7 @@ use crate::{AttrId, CatalogError, Domain, Result, Schema, Tuple, Value};
 /// admit the full set. This mirrors the boolean query-processing model the
 /// paper assumes the autonomous Web database exposes (Section 3.1,
 /// constraint 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredicateOp {
     /// `attr = v`
     Eq,
@@ -37,12 +38,25 @@ impl PredicateOp {
     }
 }
 
+/// Declaration order: `Eq < Lt < Le < Gt < Ge`.
+impl Ord for PredicateOp {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for PredicateOp {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// A single conjunct of a [`SelectionQuery`].
 ///
-/// The derived total order — `(attr, op, value)` lexicographically, with
+/// The total order — `(attr, op, value)` lexicographically, with
 /// [`crate::Value`]'s NaN-collapsing `Ord` — is what makes a
 /// [`SelectionQuery`] canonicalizable and usable as a `BTreeMap` key.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Predicate {
     /// Attribute constrained by this predicate.
     pub attr: AttrId,
@@ -50,6 +64,18 @@ pub struct Predicate {
     pub op: PredicateOp,
     /// Comparison constant.
     pub value: Value,
+}
+
+impl Ord for Predicate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.attr, self.op, &self.value).cmp(&(other.attr, other.op, &other.value))
+    }
+}
+
+impl PartialOrd for Predicate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Predicate {
@@ -110,9 +136,21 @@ impl Predicate {
 /// `BTreeMap`-based caches. Note that `Eq`/`Ord` compare the *syntactic*
 /// predicate list: `σ(A=1 ∧ B=2)` and `σ(B=2 ∧ A=1)` are different values
 /// but share one canonical form.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SelectionQuery {
     predicates: Vec<Predicate>,
+}
+
+impl Ord for SelectionQuery {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.predicates.cmp(&other.predicates)
+    }
+}
+
+impl PartialOrd for SelectionQuery {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl SelectionQuery {

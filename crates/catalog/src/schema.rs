@@ -1,3 +1,4 @@
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -17,8 +18,20 @@ type NameIndex = std::collections::HashMap<String, AttrId>;
 ///
 /// A thin newtype instead of a bare `usize` so that row ids, value codes and
 /// attribute positions cannot be confused at call sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AttrId(pub usize);
+
+impl Ord for AttrId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for AttrId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl AttrId {
     /// Raw index into the schema's attribute list.
@@ -169,13 +182,21 @@ impl Schema {
 
     /// The name of attribute `attr`; panics on out-of-range ids (programmer
     /// error — ids should only come from this schema).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "AttrId was minted by this schema, so index < arity"
+    )]
     pub fn attr_name(&self, attr: AttrId) -> &str {
-        self.inner.attrs[attr.index()].name() // aimq-lint: allow(indexing) -- AttrId was minted by this schema, so index < arity
+        self.inner.attrs[attr.index()].name()
     }
 
     /// The domain of attribute `attr` (panics on out-of-range ids).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "AttrId was minted by this schema, so index < arity"
+    )]
     pub fn domain(&self, attr: AttrId) -> Domain {
-        self.inner.attrs[attr.index()].domain() // aimq-lint: allow(indexing) -- AttrId was minted by this schema, so index < arity
+        self.inner.attrs[attr.index()].domain()
     }
 
     /// Resolve an attribute name to its id.

@@ -8,8 +8,8 @@ use std::cmp::Ordering;
 /// 754 `totalOrder` semantics via [`f64::total_cmp`]: `-NaN < -∞ < … <
 /// +∞ < +NaN`, so sorting is always well-defined and deterministic.
 ///
-/// The workspace lint (`cargo xtask lint`, rule `float-ordering`)
-/// rejects `partial_cmp` on scores in library code; use
+/// The library crates deny `clippy::disallowed_methods`, and
+/// `clippy.toml` bans `PartialOrd::partial_cmp` there; use
 /// `f64::total_cmp` directly or sort on `OrderedScore` keys:
 ///
 /// ```

@@ -28,7 +28,11 @@ impl Tuple {
             });
         }
         for (i, v) in values.iter().enumerate() {
-            let attr = &schema.attributes()[i]; // aimq-lint: allow(indexing) -- i < arity: values.len() == arity was just checked
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < arity: values.len() == arity was just checked"
+            )]
+            let attr = &schema.attributes()[i];
             let ok = matches!(
                 (attr.domain(), v),
                 (_, Value::Null)
@@ -54,8 +58,12 @@ impl Tuple {
     }
 
     /// The value bound to attribute `attr`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "values is arity-sized; AttrId is schema-minted"
+    )]
     pub fn value(&self, attr: AttrId) -> &Value {
-        &self.values[attr.index()] // aimq-lint: allow(indexing) -- values is arity-sized; AttrId is schema-minted
+        &self.values[attr.index()]
     }
 
     /// All values in schema order.

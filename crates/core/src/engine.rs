@@ -692,7 +692,11 @@ pub fn answer_imprecise_query(
                                 clippy::arithmetic_side_effects,
                                 reason = "step_index < plan.len(), so step_index + 1 cannot wrap"
                             )]
-                            let remaining = &plan[step_index + 1..]; // aimq-lint: allow(indexing) -- step_index < plan.len(): probes and plan are 1:1 by compile_probes
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "step_index < plan.len(): probes and plan are 1:1 by compile_probes"
+                            )]
+                            let remaining = &plan[step_index + 1..];
                             degradation.note_skipped(remaining);
                             abandoned_at = Some(base_index.saturating_add(1));
                             break 'outer;

@@ -62,8 +62,12 @@ impl FeedbackTuner {
     }
 
     /// Current weight of an attribute (weights over the schema sum to 1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized weight vector; AttrId is in-range"
+    )]
     pub fn weight(&self, attr: AttrId) -> f64 {
-        self.weights[attr.index()] // aimq-lint: allow(indexing) -- schema-sized weight vector; AttrId is in-range
+        self.weights[attr.index()]
     }
 
     /// The schema the tuner covers.
@@ -104,9 +108,12 @@ impl FeedbackTuner {
         relevant: bool,
     ) {
         let sign = if relevant { 1.0 } else { -1.0 };
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "schema-sized weight vector; AttrId is in-range"
+        )]
         for (attr, s) in model.attribute_similarities(query, answer) {
             let signal = s - 0.5;
-            // aimq-lint: allow(indexing) -- schema-sized weight vector; AttrId is in-range
             self.weights[attr.index()] *= (self.learning_rate * sign * signal).exp();
         }
         self.weights = normalized(std::mem::take(&mut self.weights));

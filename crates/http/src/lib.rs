@@ -21,11 +21,13 @@
 //!   pool).
 //! - [`client`]: a minimal blocking client for tests and the CLI.
 //!
-//! This crate deliberately sits *outside* the workspace's wall-clock
-//! lint scope (L4): sockets, wall clocks, and sleeps are its whole
-//! job. The panic-freedom lints and the type ban (hash containers, raw
-//! atomics) and `arithmetic_side_effects` are denied below, and the
-//! xtask lock and effect rules (L5, L8) apply in full.
+//! The crate root denies what the other library crates deny: the
+//! panic-freedom lints (`indexing_slicing` included), the `clippy.toml`
+//! type and method bans (hash containers, raw atomics and locks, the
+//! wall clock, `partial_cmp`) and `arithmetic_side_effects`. Nothing
+//! here reads the wall clock today; a future read takes a
+//! statement-level `#[expect(clippy::disallowed_methods, reason = ...)]`
+//! at the clock source.
 
 #![warn(missing_docs)]
 #![deny(
@@ -34,9 +36,10 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing
 )]
-#![deny(clippy::disallowed_types)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 
 mod routes;

@@ -46,10 +46,19 @@ impl Column {
                 // `NULL_CODE` falls outside every dictionary, so nulls and
                 // (would-be corruption) codes the builder never interned
                 // both decode to null instead of panicking.
-                dict.value_of(codes[row]).map_or(Value::Null, Value::cat) // aimq-lint: allow(indexing) -- row < n_rows: the relation hands out only its own row range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row < n_rows: the relation hands out only its own row range"
+                )]
+                let code = codes[row];
+                dict.value_of(code).map_or(Value::Null, Value::cat)
             }
             Column::Numeric(vs) => {
-                let v = vs[row]; // aimq-lint: allow(indexing) -- row < n_rows: the relation hands out only its own row range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row < n_rows: the relation hands out only its own row range"
+                )]
+                let v = vs[row];
                 if v.is_nan() {
                     Value::Null
                 } else {
@@ -63,7 +72,11 @@ impl Column {
     pub fn code(&self, row: usize) -> Option<u32> {
         match self {
             Column::Categorical { codes, .. } => {
-                let c = codes[row]; // aimq-lint: allow(indexing) -- row < n_rows: the relation hands out only its own row range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row < n_rows: the relation hands out only its own row range"
+                )]
+                let c = codes[row];
                 (c != NULL_CODE).then_some(c)
             }
             Column::Numeric(_) => None,
@@ -74,7 +87,11 @@ impl Column {
     pub fn num(&self, row: usize) -> Option<f64> {
         match self {
             Column::Numeric(vs) => {
-                let v = vs[row]; // aimq-lint: allow(indexing) -- row < n_rows: the relation hands out only its own row range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "row < n_rows: the relation hands out only its own row range"
+                )]
+                let v = vs[row];
                 (!v.is_nan()).then_some(v)
             }
             Column::Categorical { .. } => None,

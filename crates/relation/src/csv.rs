@@ -173,7 +173,11 @@ pub fn read_csv<R: BufRead>(schema: &Schema, input: R) -> Result<Relation, CsvEr
                 if field.is_empty() {
                     return Ok(Value::Null);
                 }
-                let attr = &schema.attributes()[col]; // aimq-lint: allow(indexing) -- col < arity: the record arity was just validated
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "col < arity: the record arity was just validated"
+                )]
+                let attr = &schema.attributes()[col];
                 match attr.domain() {
                     Domain::Categorical => Ok(Value::Cat(field)),
                     Domain::Numeric => field.trim().parse::<f64>().map(Value::Num).map_err(|_| {

@@ -75,8 +75,12 @@ impl Relation {
     }
 
     /// The column storing attribute `attr`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "columns is arity-sized; AttrId and rows are minted by this relation"
+    )]
     pub fn column(&self, attr: AttrId) -> &Column {
-        &self.columns[attr.index()] // aimq-lint: allow(indexing) -- columns is arity-sized; AttrId and rows are minted by this relation
+        &self.columns[attr.index()]
     }
 
     /// Decode row `row` into an owned [`Tuple`].
@@ -86,13 +90,21 @@ impl Relation {
     }
 
     /// Decode the value at (`row`, `attr`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "columns is arity-sized; AttrId and rows are minted by this relation"
+    )]
     pub fn value(&self, row: RowId, attr: AttrId) -> Value {
-        self.columns[attr.index()].value(row as usize) // aimq-lint: allow(indexing) -- columns is arity-sized; AttrId and rows are minted by this relation
+        self.columns[attr.index()].value(row as usize)
     }
 
     /// Dictionary code at (`row`, `attr`) for categorical attributes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "columns is arity-sized; AttrId and rows are minted by this relation"
+    )]
     pub fn code(&self, row: RowId, attr: AttrId) -> Option<u32> {
-        self.columns[attr.index()].code(row as usize) // aimq-lint: allow(indexing) -- columns is arity-sized; AttrId and rows are minted by this relation
+        self.columns[attr.index()].code(row as usize)
     }
 
     /// Iterate over all row ids.
@@ -187,7 +199,11 @@ impl RelationBuilder {
         // Validate all values before mutating any column so a bad tuple
         // cannot leave the builder with ragged columns.
         for (i, v) in tuple.values().iter().enumerate() {
-            let attr = &self.schema.attributes()[i]; // aimq-lint: allow(indexing) -- i < arity by the enumerate over a validated tuple
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < arity by the enumerate over a validated tuple"
+            )]
+            let attr = &self.schema.attributes()[i];
             let ok = matches!(
                 (attr.domain(), v),
                 (_, Value::Null)
@@ -203,8 +219,12 @@ impl RelationBuilder {
             }
         }
         for (i, v) in tuple.values().iter().enumerate() {
-            // aimq-lint: allow(indexing) -- i < arity by the enumerate over a validated tuple
-            match (&mut self.columns[i], v) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i < arity by the enumerate over a validated tuple"
+            )]
+            let column = &mut self.columns[i];
+            match (column, v) {
                 (Column::Categorical { codes, dict }, Value::Cat(s)) => {
                     codes.push(dict.intern(s));
                 }
@@ -214,7 +234,11 @@ impl RelationBuilder {
                 // Excluded by the validation loop above; propagated as an
                 // error (not a panic) to keep storage panic-free.
                 (col, v) => {
-                    let attr = &self.schema.attributes()[i]; // aimq-lint: allow(indexing) -- i < arity by the enumerate over a validated tuple
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i < arity by the enumerate over a validated tuple"
+                    )]
+                    let attr = &self.schema.attributes()[i];
                     debug_assert!(false, "validated tuple mismatched {col:?}");
                     return Err(CatalogError::DomainMismatch {
                         attribute: attr.name().to_owned(),
@@ -247,7 +271,11 @@ impl RelationBuilder {
                     let mut idx: Vec<Vec<RowId>> = vec![Vec::new(); dict.len()];
                     for (row, &code) in codes.iter().enumerate() {
                         if code != NULL_CODE {
-                            idx[code as usize].push(row as RowId); // aimq-lint: allow(indexing) -- code < cardinality by dictionary interning
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "code < cardinality by dictionary interning"
+                            )]
+                            idx[code as usize].push(row as RowId);
                         }
                     }
                     idx

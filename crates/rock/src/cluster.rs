@@ -29,8 +29,12 @@ impl Clustering {
     pub fn assignments(&self, n_points: usize) -> Vec<u32> {
         let mut assign = vec![0u32; n_points];
         for (cid, members) in self.clusters.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "assign is sample-sized; members are sample indices"
+            )]
             for &m in members {
-                assign[m as usize] = cid as u32; // aimq-lint: allow(indexing) -- assign is sample-sized; members are sample indices
+                assign[m as usize] = cid as u32;
             }
         }
         assign
@@ -137,7 +141,10 @@ pub fn cluster_greedy(
         let Some(entry) = heap.pop() else { break };
         let (a, b) = (entry.a as usize, entry.b as usize);
         // Lazy invalidation: skip dead or stale entries.
-        // aimq-lint: allow(indexing) -- a and b are live slots selected by the merge scan
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a and b are live slots selected by the merge scan"
+        )]
         let fresh = match (&clusters[a], &clusters[b]) {
             (Some(ca), Some(_)) => ca.links.get(&entry.b).copied().unwrap_or(0) == entry.links,
             _ => false,
@@ -148,7 +155,10 @@ pub fn cluster_greedy(
 
         // Merge a and b into a fresh cluster. Both slots were just
         // checked alive; the let-else merely keeps this panic-free.
-        // aimq-lint: allow(indexing) -- a and b are live slots selected by the merge scan
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "a and b are live slots selected by the merge scan"
+        )]
         let (Some(ca), Some(cb)) = (clusters[a].take(), clusters[b].take()) else {
             continue;
         };

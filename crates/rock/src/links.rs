@@ -25,10 +25,22 @@ pub fn compute_links(
     let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); n];
     for i in 0..n {
         for j in (i + 1)..n {
-            // aimq-lint: allow(indexing) -- i and j are bounded by members.len()
-            if points.sim(members[i], members[j]) >= theta {
-                neighbors[i].push(j as u32); // aimq-lint: allow(indexing) -- i and j are bounded by members.len()
-                neighbors[j].push(i as u32); // aimq-lint: allow(indexing) -- i and j are bounded by members.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i and j are bounded by members.len()"
+            )]
+            let linked = points.sim(members[i], members[j]) >= theta;
+            if linked {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i and j are bounded by members.len()"
+                )]
+                neighbors[i].push(j as u32);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i and j are bounded by members.len()"
+                )]
+                neighbors[j].push(i as u32);
             }
         }
     }
@@ -36,7 +48,10 @@ pub fn compute_links(
     let mut links: BTreeMap<(u32, u32), u32> = BTreeMap::new();
     for nbrs in &neighbors {
         for (a_idx, &a) in nbrs.iter().enumerate() {
-            // aimq-lint: allow(indexing) -- a_idx enumerates nbrs, so the tail slice is in-range
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "a_idx enumerates nbrs, so the tail slice is in-range"
+            )]
             for &b in &nbrs[a_idx + 1..] {
                 let key = if a < b { (a, b) } else { (b, a) };
                 *links.entry(key).or_insert(0) += 1;

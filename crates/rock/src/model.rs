@@ -100,11 +100,15 @@ impl RockModel {
 
         // Map member indices back to relation rows, weeding out clusters
         // below the outlier threshold.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "cluster members are indices into the sample"
+        )]
         let mut clusters: Vec<Vec<RowId>> = clustering
             .clusters
             .iter()
             .filter(|c| c.len() >= config.min_cluster_size.max(1))
-            .map(|c| c.iter().map(|&m| sample_rows[m as usize]).collect()) // aimq-lint: allow(indexing) -- cluster members are indices into the sample
+            .map(|c| c.iter().map(|&m| sample_rows[m as usize]).collect())
             .collect();
 
         // Label the remaining rows: assign to the cluster maximizing
@@ -118,8 +122,12 @@ impl RockModel {
         let t2 = Instant::now();
         let mut assignments: Vec<Option<u32>> = vec![None; n];
         for (cid, members) in clusters.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "assignments is relation-sized; rows and cluster ids are minted by this build"
+            )]
             for &row in members {
-                assignments[row as usize] = Some(cid as u32); // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
+                assignments[row as usize] = Some(cid as u32);
             }
         }
         let ft = f_theta(config.theta);
@@ -143,13 +151,21 @@ impl RockModel {
                     best = Some((score, cid as u32));
                 }
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "assignments is relation-sized; rows and cluster ids are minted by this build"
+            )]
             if let Some((_, cid)) = best {
-                assignments[row as usize] = Some(cid); // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
+                assignments[row as usize] = Some(cid);
                 labeled.push((row, cid));
             }
         }
         for (row, cid) in labeled {
-            clusters[cid as usize].push(row); // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "assignments is relation-sized; rows and cluster ids are minted by this build"
+            )]
+            clusters[cid as usize].push(row);
         }
         #[expect(clippy::disallowed_methods, reason = "stopwatch readout")]
         let data_labeling = t2.elapsed();
@@ -173,8 +189,12 @@ impl RockModel {
     }
 
     /// Cluster id of `row` (`None` for outliers).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "assignments is relation-sized; rows and cluster ids are minted by this build"
+    )]
     pub fn assignment(&self, row: RowId) -> Option<u32> {
-        self.assignments[row as usize] // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
+        self.assignments[row as usize]
     }
 
     /// Offline phase timings (Table 2).
@@ -197,7 +217,11 @@ impl RockModel {
         let Some(cid) = self.assignment(row) else {
             return Vec::new();
         };
-        let mut scored: Vec<(RowId, f64)> = self.clusters[cid as usize] // aimq-lint: allow(indexing) -- assignments is relation-sized; rows and cluster ids are minted by this build
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "assignments is relation-sized; rows and cluster ids are minted by this build"
+        )]
+        let mut scored: Vec<(RowId, f64)> = self.clusters[cid as usize]
             .iter()
             .filter(|&&m| m != row)
             .map(|&m| (m, self.points.sim(row, m)))

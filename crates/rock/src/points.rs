@@ -26,8 +26,12 @@ impl PointSet {
         let mut codes = vec![NULL_CODE; n * m];
         for a in 0..m {
             let col = enc.codes(AttrId(a));
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "row-major matrix: row < n and attr < m by the build loops"
+            )]
             for (row, &c) in col.iter().enumerate() {
-                codes[row * m + a] = c; // aimq-lint: allow(indexing) -- row-major matrix: row < n and attr < m by the build loops
+                codes[row * m + a] = c;
             }
         }
         PointSet { codes, n, m }
@@ -49,9 +53,13 @@ impl PointSet {
     }
 
     /// The code row of point `p`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "row-major matrix: row < n and attr < m by the build loops"
+    )]
     pub fn point(&self, p: RowId) -> &[u32] {
         let p = p as usize;
-        &self.codes[p * self.m..(p + 1) * self.m] // aimq-lint: allow(indexing) -- row-major matrix: row < n and attr < m by the build loops
+        &self.codes[p * self.m..(p + 1) * self.m]
     }
 
     /// Jaccard similarity between points `a` and `b` (set semantics over

@@ -5,7 +5,8 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::indexing_slicing
 )]
 #![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]

@@ -53,10 +53,14 @@ impl Bag {
     }
 
     /// Occurrence count of `code`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i comes from a successful binary_search"
+    )]
     pub fn count(&self, code: u32) -> u32 {
         self.entries
             .binary_search_by_key(&code, |&(k, _)| k)
-            .map_or(0, |i| self.entries[i].1) // aimq-lint: allow(indexing) -- i comes from a successful binary_search
+            .map_or(0, |i| self.entries[i].1)
     }
 
     /// Iterate `(code, count)` pairs in ascending code order.
@@ -76,26 +80,59 @@ impl Bag {
         let (mut i, mut j) = (0, 0);
         let (a, b) = (&self.entries, &other.entries);
         while i < a.len() && j < b.len() {
-            // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
-            match a[i].0.cmp(&b[j].0) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i and j are bounded by the merge loop condition"
+            )]
+            let order = a[i].0.cmp(&b[j].0);
+            match order {
                 std::cmp::Ordering::Less => {
-                    union += u64::from(a[i].1); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i and j are bounded by the merge loop condition"
+                    )]
+                    let count = a[i].1;
+                    union += u64::from(count);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    union += u64::from(b[j].1); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i and j are bounded by the merge loop condition"
+                    )]
+                    let count = b[j].1;
+                    union += u64::from(count);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    inter += u64::from(a[i].1.min(b[j].1)); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
-                    union += u64::from(a[i].1.max(b[j].1)); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i and j are bounded by the merge loop condition"
+                    )]
+                    let low = a[i].1.min(b[j].1);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "i and j are bounded by the merge loop condition"
+                    )]
+                    let high = a[i].1.max(b[j].1);
+                    inter += u64::from(low);
+                    union += u64::from(high);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        union += a[i..].iter().map(|&(_, c)| u64::from(c)).sum::<u64>(); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
-        union += b[j..].iter().map(|&(_, c)| u64::from(c)).sum::<u64>(); // aimq-lint: allow(indexing) -- i and j are bounded by the merge loop condition
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i and j are bounded by the merge loop condition"
+        )]
+        let rest_a: u64 = a[i..].iter().map(|&(_, c)| u64::from(c)).sum();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i and j are bounded by the merge loop condition"
+        )]
+        let rest_b: u64 = b[j..].iter().map(|&(_, c)| u64::from(c)).sum();
+        union += rest_a + rest_b;
         if union == 0 {
             0.0
         } else {

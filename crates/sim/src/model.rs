@@ -36,12 +36,16 @@ pub struct ValueSimMatrix {
 
 impl ValueSimMatrix {
     /// Similarity between two value codes (0 for out-of-range codes).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a and b were just bounds-checked against n"
+    )]
     pub fn similarity(&self, a: u32, b: u32) -> f64 {
         let (a, b) = (a as usize, b as usize);
         if a >= self.n || b >= self.n {
             return 0.0;
         }
-        self.sims[a * self.n + b] // aimq-lint: allow(indexing) -- a and b were just bounds-checked against n
+        self.sims[a * self.n + b]
     }
 
     /// Similarity between two value strings. Identical strings are 1 even
@@ -202,8 +206,12 @@ impl SimilarityModel {
     /// mining (`None` for categorical attributes). The query engine uses
     /// it to turn numeric `like` bindings into bucket-band selections —
     /// the form-interface analogue of a price-range select box.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized per-attribute table; AttrId is in-range"
+    )]
     pub fn bucket_spec(&self, attr: AttrId) -> Option<aimq_catalog::BucketSpec> {
-        self.bucket_specs[attr.index()] // aimq-lint: allow(indexing) -- schema-sized per-attribute table; AttrId is in-range
+        self.bucket_specs[attr.index()]
     }
 
     /// Reassemble a model from raw parts (model persistence). `matrices`
@@ -253,19 +261,42 @@ impl SimilarityModel {
 
         let mut sims = vec![0.0; n * n];
         for i in 0..n {
-            sims[i * n + i] = 1.0; // aimq-lint: allow(indexing) -- n-by-n matrix; i and j are bounded by the build loops
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "n-by-n matrix; i and j are bounded by the build loops"
+            )]
+            let diagonal = &mut sims[i * n + i];
+            *diagonal = 1.0;
             for j in (i + 1)..n {
                 let mut v = 0.0;
                 for (&other, &w) in others.iter().zip(&weights) {
                     if w == 0.0 {
                         continue;
                     }
-                    let a = supertuples[i].bag(other); // aimq-lint: allow(indexing) -- n-by-n matrix; i and j are bounded by the build loops
-                    let b = supertuples[j].bag(other); // aimq-lint: allow(indexing) -- n-by-n matrix; i and j are bounded by the build loops
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "n-by-n matrix; i and j are bounded by the build loops"
+                    )]
+                    let a = supertuples[i].bag(other);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "n-by-n matrix; i and j are bounded by the build loops"
+                    )]
+                    let b = supertuples[j].bag(other);
                     v += w * a.jaccard(b);
                 }
-                sims[i * n + j] = v; // aimq-lint: allow(indexing) -- n-by-n matrix; i and j are bounded by the build loops
-                sims[j * n + i] = v; // aimq-lint: allow(indexing) -- n-by-n matrix; i and j are bounded by the build loops
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "n-by-n matrix; i and j are bounded by the build loops"
+                )]
+                let upper = &mut sims[i * n + j];
+                *upper = v;
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "n-by-n matrix; i and j are bounded by the build loops"
+                )]
+                let lower = &mut sims[j * n + i];
+                *lower = v;
             }
         }
 
@@ -284,8 +315,12 @@ impl SimilarityModel {
     }
 
     /// The value-similarity matrix of a categorical attribute.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "schema-sized per-attribute table; AttrId is in-range"
+    )]
     pub fn matrix(&self, attr: AttrId) -> Option<&ValueSimMatrix> {
-        self.matrices[attr.index()].as_ref() // aimq-lint: allow(indexing) -- schema-sized per-attribute table; AttrId is in-range
+        self.matrices[attr.index()].as_ref()
     }
 
     /// `VSim` between two values of categorical attribute `attr`.

@@ -25,8 +25,12 @@ pub struct SuperTuple {
 
 impl SuperTuple {
     /// Bag of co-occurring features for attribute `attr`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bags is schema-sized; AttrId is in-range"
+    )]
     pub fn bag(&self, attr: AttrId) -> &Bag {
-        &self.bags[attr.index()] // aimq-lint: allow(indexing) -- bags is schema-sized; AttrId is in-range
+        &self.bags[attr.index()]
     }
 
     /// All bags in schema-attribute order.
@@ -59,14 +63,26 @@ pub fn build_supertuples(enc: &EncodedRelation, attr: AttrId) -> Vec<SuperTuple>
         if value == aimq_relation::NULL_CODE {
             continue;
         }
-        // aimq-lint: allow(indexing) -- value codes are < cardinality by dictionary interning
-        support[value as usize] += 1;
-        // aimq-lint: allow(indexing) -- value codes are < cardinality by dictionary interning
-        for (other, other_counts) in counts[value as usize].iter_mut().enumerate() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "value codes are < cardinality by dictionary interning"
+        )]
+        let seen = &mut support[value as usize];
+        *seen += 1;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "value codes are < cardinality by dictionary interning"
+        )]
+        let value_counts = &mut counts[value as usize];
+        for (other, other_counts) in value_counts.iter_mut().enumerate() {
             if other == attr.index() {
                 continue;
             }
-            let feature = enc.codes(AttrId(other))[row]; // aimq-lint: allow(indexing) -- codes column is relation-sized; row ranges over it
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "codes column is relation-sized; row ranges over it"
+            )]
+            let feature = enc.codes(AttrId(other))[row];
             if feature == aimq_relation::NULL_CODE {
                 continue;
             }

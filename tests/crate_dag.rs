@@ -50,7 +50,13 @@ const LAYERS: &[(&str, &[&str])] = &[
             "http", "eval",
         ],
     ),
-    ("xtask", &["catalog"]),
+];
+
+/// The library crates, in `LAYERS` order: each crate root denies the
+/// panic-freedom lints (`indexing_slicing` among them) and the
+/// `clippy.toml` type and method bans.
+const LIBRARY: &[&str] = &[
+    "catalog", "relation", "storage", "afd", "sim", "rock", "core", "serve", "http",
 ];
 
 /// The crates that learn from a probed sample or generate data offline.
@@ -183,4 +189,47 @@ fn probe_free_crates_cannot_reach_the_source() {
     }
     // The engine, by contrast, reaches the source through its row.
     assert!(reachable("core").contains(&"storage"));
+}
+
+/// Does `lib_rs` deny `lint` in a crate-level `#![deny(...)]` attribute?
+/// (A mention in a doc comment does not count.)
+fn denies(lib_rs: &str, lint: &str) -> bool {
+    lib_rs.split("#![deny(").skip(1).any(|attr| {
+        attr.split(")]")
+            .next()
+            .is_some_and(|lints| lints.split(',').any(|l| l.trim() == lint))
+    })
+}
+
+#[test]
+fn lint_scope_is_the_library_crates() {
+    // Direct indexing, `partial_cmp` and the other clippy.toml bans bind
+    // exactly the crates that promise panic-freedom at their root, so a
+    // new library crate cannot fall out of their scope unnoticed.
+    // `LAYERS` lists every crate (`manifests_follow_the_crate_dag`).
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for lint in [
+        "clippy::unwrap_used",
+        "clippy::indexing_slicing",
+        "clippy::disallowed_types",
+        "clippy::disallowed_methods",
+    ] {
+        let denying: Vec<&str> = LAYERS
+            .iter()
+            .map(|(dir, _)| *dir)
+            .filter(|dir| {
+                std::fs::read_to_string(crates.join(dir).join("src/lib.rs"))
+                    .is_ok_and(|text| denies(&text, lint))
+            })
+            .collect();
+        assert_eq!(denying, LIBRARY, "the crates whose lib.rs denies {lint}");
+    }
+    assert!(denies(
+        "#![deny(\n    clippy::panic,\n    clippy::indexing_slicing\n)]",
+        "clippy::indexing_slicing"
+    ));
+    assert!(!denies(
+        "//! (`clippy::unwrap_used` and friends)",
+        "clippy::unwrap_used"
+    ));
 }

@@ -1,14 +1,13 @@
 #!/bin/sh
-# Checks that rustc, clippy and Cargo enforce what the retired xtask
-# rules (panic, hashmap, wallclock, layering, result-discipline,
-# degradation-flow, atomics-audit, counter-arith, lock-discipline,
-# probe-effect) used to. Every violation crate in this directory must
-# fail under `cargo clippy -- -D warnings` with exactly the expected
-# number of diagnostics per lint or error code; every twin must pass,
-# test targets included. `lock_leaf_expect` is the twin of both
-# `lock_leaf` and `raw_mutex`. `layering` (E0432 on an undeclared
-# crate) stands for `probe-effect` too: the probe-free crates do not
-# declare `aimq-storage` (tests/crate_dag.rs).
+# Checks that rustc, clippy and Cargo enforce the workspace's static
+# invariants (DESIGN.md, "Static analysis & invariants"). Every
+# violation crate in this directory must fail under `cargo clippy --
+# -D warnings` with exactly the expected number of diagnostics per lint
+# or error code; every twin must pass, test targets included.
+# `lock_leaf_expect` is the twin of both `lock_leaf` and `raw_mutex`;
+# every twin gives its reasons, so `expect_without_reason` needs none.
+# `layering` (E0432 on an undeclared crate) stands for probe-freedom
+# too: the probe-free crates do not declare `aimq-storage`.
 #
 # Usage: tests/fixtures/clippy/check.sh   (from any directory)
 set -u
@@ -59,6 +58,10 @@ rejects panic clippy::unwrap_used=1 clippy::expect_used=1 clippy::panic=1 \
 accepts panic_expect
 rejects hashmap clippy::disallowed_types=5
 accepts hashmap_expect
+rejects indexing clippy::indexing_slicing=2
+accepts indexing_expect
+rejects float_ordering clippy::disallowed_methods=2
+accepts float_ordering_expect
 rejects wallclock clippy::disallowed_methods=5
 accepts wallclock_expect
 rejects layering E0432=1
@@ -75,4 +78,5 @@ accepts counter_arith_expect
 rejects lock_leaf E0308=2 E0277=2
 rejects raw_mutex clippy::disallowed_types=2
 accepts lock_leaf_expect
+rejects expect_without_reason clippy::allow_attributes_without_reason=1
 exit $status

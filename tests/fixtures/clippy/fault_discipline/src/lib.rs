@@ -1,6 +1,6 @@
 //! Dropped and absorbed faults: rustc and clippy must reject every
-//! form xtask's retired `result-discipline` and `degradation-flow`
-//! rules caught.
+//! form of them that result discipline (L9) and degradation flow (L13)
+//! forbid.
 
 /// A two-variant fault enum, `#[must_use]` like the workspace's.
 #[must_use]

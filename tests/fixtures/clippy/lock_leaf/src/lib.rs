@@ -1,4 +1,4 @@
-//! The two shapes the retired xtask lock rule (L5) caught, written
+//! The two lock-discipline violations (L5), written
 //! against `aimq_catalog::Leaf`: a probe inside a critical section,
 //! and a nested acquisition. Each is tried once by capture,
 //! which rustc rejects with E0308 (a closure that captures is not a

@@ -20,7 +20,7 @@
 //!    function of `(seed, canonical query)` rather than arrival order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use aimq_suite::catalog::{ImpreciseQuery, Schema, SelectionQuery};
@@ -108,24 +108,36 @@ impl GatedWebDb {
         }
     }
 
+    /// Open the gate. A poisoned lock still holds a valid `bool`, so
+    /// the guard below can open it while a failed test unwinds.
     fn open_gate(&self) {
-        *self.open.lock().unwrap() = true;
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
         self.bell.notify_all();
     }
 
-    /// Spin until `n` probes are parked on the gate. Gives up after
-    /// ten seconds: the gate opens (so the server can still drain) and
-    /// the test fails instead of hanging.
+    /// Spin until `n` probes are parked on the gate. Gives up after ten
+    /// seconds, failing the test.
     fn await_waiters(&self, n: usize) {
         let give_up = Instant::now() + Duration::from_secs(10);
         while self.waiting.load(Ordering::Acquire) < n {
             if Instant::now() > give_up {
                 let parked = self.waiting.load(Ordering::Acquire);
-                self.open_gate();
                 panic!("only {parked} of {n} probes ever parked on the gate");
             }
             std::thread::yield_now();
         }
+    }
+}
+
+/// Opens its gate when it drops. Declare it after the server: locals
+/// drop in reverse order, so a failing assertion opens the gate before
+/// `QueryServer`'s drop joins the workers parked on it, and the test
+/// fails instead of hanging.
+struct OpenOnDrop(Arc<GatedWebDb>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open_gate();
     }
 }
 
@@ -173,6 +185,7 @@ fn overload_rejects_exactly_the_excess_and_drops_nothing() {
             ..ServeConfig::default()
         },
     );
+    let _gate = OpenOnDrop(Arc::clone(&gated));
 
     // Fill every in-service slot: W queries park on the gate.
     let q = &h.queries[0];
@@ -227,14 +240,13 @@ fn a_burst_of_workers_plus_capacity_is_admitted_whole() {
             ..ServeConfig::default()
         },
     );
+    let _gate = OpenOnDrop(Arc::clone(&gated));
     let q = &h.queries[0];
     let burst: Vec<Result<Ticket, ServeError>> = (0..WORKERS + CAPACITY)
         .map(|_| server.submit(q.clone()))
         .collect();
     // The gate is shut, so no admitted query can finish and free a slot.
     let next = server.submit(q.clone());
-    // Open the gate before asserting: a failure then drains the server
-    // instead of hanging its drop on parked workers.
     gated.open_gate();
     let refused: Vec<String> = burst
         .iter()
@@ -274,6 +286,7 @@ fn every_worker_holds_a_source_probe_in_flight_at_once() {
                 ..ServeConfig::default()
             },
         );
+        let _gate = OpenOnDrop(Arc::clone(&gated));
         let tickets: Vec<Ticket> = h
             .queries
             .iter()
