@@ -34,6 +34,9 @@ fn bad(message: impl Into<String>) -> io::Error {
 }
 
 /// Write one request and read one response on an open stream.
+///
+/// The request leaves in one write with `TCP_NODELAY` set, so its body
+/// never waits behind the head for the server's delayed ACK.
 pub fn exchange(
     stream: &mut TcpStream,
     method: &str,
@@ -41,12 +44,13 @@ pub fn exchange(
     body: Option<&str>,
 ) -> io::Result<Reply> {
     let body = body.unwrap_or("");
-    let head = format!(
+    let mut request = format!(
         "{method} {path} HTTP/1.1\r\nhost: aimq\r\ncontent-length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    request.push_str(body);
+    stream.set_nodelay(true)?;
+    stream.write_all(request.as_bytes())?;
     stream.flush()?;
     read_reply(stream)
 }

@@ -4,12 +4,12 @@
 
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aimq::{AimqSystem, TrainConfig};
 use aimq_catalog::{Json, Schema, SelectionQuery};
 use aimq_data::CarDb;
-use aimq_http::{client, AimqHttpServer, HttpConfig};
+use aimq_http::{client, AimqHttpServer, HttpConfig, Response};
 use aimq_serve::ServeConfig;
 use aimq_storage::{AccessStats, CachedWebDb, InMemoryWebDb, QueryError, QueryPage, WebDatabase};
 
@@ -344,6 +344,107 @@ fn keep_alive_serves_many_exchanges_on_one_stream() {
         "all three searches served over one connection"
     );
     server.shutdown();
+}
+
+/// Twenty keep-alive exchanges must take well under 20 × 40 ms: a
+/// reply that waits out the client's delayed ACK (a head and body
+/// written apart on a Nagle socket) costs ~40 ms each.
+const TWENTY_EXCHANGES_BUDGET: Duration = Duration::from_millis(400);
+
+/// Time 20 sequential exchanges on one keep-alive connection, after
+/// one untimed exchange that warms the cache.
+fn time_twenty_exchanges(method: &str, path: &str, body: Option<&str>) -> Duration {
+    let server = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let warm = client::exchange(&mut stream, method, path, body).expect("warm-up");
+    assert_eq!(warm.status, 200);
+    let started = Instant::now();
+    for _ in 0..20 {
+        let reply = client::exchange(&mut stream, method, path, body).expect("reply");
+        assert_eq!(reply.status, 200);
+    }
+    let elapsed = started.elapsed();
+    server.shutdown();
+    elapsed
+}
+
+#[test]
+fn twenty_keep_alive_health_checks_wait_for_no_delayed_ack() {
+    let elapsed = time_twenty_exchanges("GET", "/health", None);
+    assert!(elapsed < TWENTY_EXCHANGES_BUDGET, "took {elapsed:?}");
+}
+
+#[test]
+fn twenty_keep_alive_searches_wait_for_no_delayed_ack() {
+    let elapsed = time_twenty_exchanges("POST", SEARCH, Some(CAMRY));
+    assert!(elapsed < TWENTY_EXCHANGES_BUDGET, "took {elapsed:?}");
+}
+
+/// Twenty pipelined pairs: the server writes each second reply while
+/// the client has not yet acknowledged the first, which Nagle's
+/// algorithm would hold until the client's delayed ACK (~40 ms a pair).
+#[test]
+fn twenty_pipelined_pairs_wait_for_no_delayed_ack() {
+    use std::io::{Read, Write};
+    const HEALTH: &str = r#"{"status":"ok","index":"cardb"}"#;
+    let server = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let pair = "GET /health HTTP/1.1\r\nhost: aimq\r\n\r\n".repeat(2);
+    let mut chunk = [0u8; 4096];
+    let started = Instant::now();
+    for _ in 0..20 {
+        stream.write_all(pair.as_bytes()).expect("write");
+        let mut replies = String::new();
+        while replies.matches(HEALTH).count() < 2 {
+            let n = stream.read(&mut chunk).expect("read");
+            assert!(n > 0, "connection closed mid-pair");
+            replies.push_str(std::str::from_utf8(&chunk[..n]).expect("utf8"));
+        }
+    }
+    let elapsed = started.elapsed();
+    server.shutdown();
+    assert!(elapsed < TWENTY_EXCHANGES_BUDGET, "took {elapsed:?}");
+}
+
+/// `Response::write_to` on its own, on a stream that keeps Nagle's
+/// algorithm on. The server's `TCP_NODELAY` would let a reply written
+/// as head then body leave as two segments at once, so the tests above
+/// cannot see that split; here it would wait out the client's delayed
+/// ACK on every exchange.
+#[test]
+fn twenty_replies_on_a_nagle_socket_wait_for_no_delayed_ack() {
+    use std::io::Read;
+    use std::net::TcpListener;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let replier = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let reply = Response::json(200, &Json::obj(vec![("status", Json::Str("ok".into()))]));
+        let mut chunk = [0u8; 4096];
+        for _ in 0..21 {
+            // `client::exchange` sends a bodiless request, which ends
+            // at its blank line, and waits for the reply.
+            let mut request = Vec::new();
+            while !request.ends_with(b"\r\n\r\n") {
+                let n = stream.read(&mut chunk).expect("read");
+                assert!(n > 0, "client closed mid-request");
+                request.extend_from_slice(&chunk[..n]);
+            }
+            reply.write_to(&mut stream, false).expect("write");
+        }
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let warm = client::exchange(&mut stream, "GET", "/health", None).expect("warm-up");
+    assert_eq!(warm.status, 200);
+    let started = Instant::now();
+    for _ in 0..20 {
+        let reply = client::exchange(&mut stream, "GET", "/health", None).expect("reply");
+        assert_eq!(reply.status, 200);
+    }
+    let elapsed = started.elapsed();
+    replier.join().expect("replier");
+    assert!(elapsed < TWENTY_EXCHANGES_BUDGET, "took {elapsed:?}");
 }
 
 #[test]
