@@ -624,9 +624,8 @@ pub fn answer_imprecise_query(
     let expanded_tuples = base_set.iter().take(config.max_base_tuples);
     let mut abandoned_at: Option<usize> = None;
     // One probe loop: pending probes reach the source in windows through
-    // `try_query_plan`, so sources with shared-plan evaluation (the
-    // in-memory posting-list executor) compute a window's common
-    // subexpressions once. A window spans the tuple's whole pending plan,
+    // `try_query_plan`, so a source that overrides it (the probe cache)
+    // sees a window whole. A window spans the tuple's whole pending plan,
     // except under the early-stop target, which can end a plan mid-tuple:
     // there each window is one probe, so nothing is issued past the
     // stopping point.

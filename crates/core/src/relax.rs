@@ -46,11 +46,10 @@ pub struct PlannedProbe {
 /// will issue for one base tuple: each step's attributes are dropped from
 /// `tuple_query` and the result canonicalized (the memo/cache key form).
 ///
-/// This is the whole-plan view the shared-subexpression executor
-/// (`aimq-storage`'s `PlanExecutor`, reached via
-/// `WebDatabase::try_query_plan`) consumes: handing it the full ordered
-/// list instead of one query at a time is what lets the common base
-/// intersection be evaluated once per plan.
+/// This is the whole-plan view `WebDatabase::try_query_plan` consumes.
+/// The probe cache answers a plan's hits in place and forwards its
+/// misses as one sub-plan; the in-memory source answers a plan one probe
+/// at a time.
 pub fn compile_probes(tuple_query: &SelectionQuery, plan: &[RelaxationStep]) -> Vec<PlannedProbe> {
     plan.iter()
         .map(|step| PlannedProbe {

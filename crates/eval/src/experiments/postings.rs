@@ -26,9 +26,12 @@
 //!   by the shared executor vs what the same plans cost one-shot, from
 //!   the executor's own meters ([`aimq_storage::ExecStats`]).
 //!
-//! The counters are recorded in `results/BENCH_postings.json`. Wall
-//! time for plan execution is measured end to end by `perfbench/`,
-//! whose `census_plan` workload sends whole plans to the executor.
+//! The counters are recorded in `results/BENCH_postings.json`. No
+//! source runs the shared executor any more: `InMemoryWebDb` drives
+//! each probe from its smallest term ([`aimq_storage::execute_query`]),
+//! which measured faster than sharing. So these counters describe the
+//! retired plan path, and probe wall time is measured end to end by
+//! `perfbench/`.
 
 use aimq_catalog::{AttrId, Predicate, SelectionQuery};
 use aimq_data::CarDb;

@@ -30,18 +30,17 @@
 //!
 //! Categorical values are dictionary-encoded (`u32` codes) at load time;
 //! TANE partitions, supertuple bags and ROCK neighbor sets all operate on
-//! codes rather than strings. Numeric attributes keep a value-sorted index
-//! and a [`FacetTree`] that answers position ranges in row-id order, the
-//! input contract of the posting-list executor in `aimq-storage`.
+//! codes rather than strings. Categorical attributes keep an inverted
+//! index of ascending row ids per code, and numeric attributes a
+//! value-sorted index, so the selection executor in `aimq-storage` can
+//! size each predicate's row set before it copies any of it.
 
 mod column;
 mod csv;
 mod dictionary;
-mod facet;
 mod relation;
 
 pub use column::{Column, NULL_CODE};
 pub use csv::{read_csv, write_csv, CsvError};
 pub use dictionary::Dictionary;
-pub use facet::{union_kway, FacetTree};
 pub use relation::{Relation, RelationBuilder, RowId};

@@ -2,7 +2,7 @@ use aimq_catalog::{AttrId, CatalogError, Domain, Result, Schema, Tuple, Value};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::{Column, Dictionary, FacetTree, NULL_CODE};
+use crate::{Column, Dictionary, NULL_CODE};
 
 /// Index of a tuple within a [`Relation`].
 pub type RowId = u32;
@@ -26,11 +26,6 @@ pub struct Relation {
     /// pairs in ascending value order, enabling binary-searched range
     /// predicates. Categorical attributes have an empty entry.
     sorted_numeric: Vec<Vec<(f64, RowId)>>,
-    /// Facet tree per attribute: for numeric attributes, a bucketed tree
-    /// over the sorted index answering position ranges in ascending
-    /// *row-id* order (the posting-list executor's input contract).
-    /// `None` for categorical attributes.
-    facets: Vec<Option<FacetTree>>,
 }
 
 impl Relation {
@@ -145,12 +140,6 @@ impl Relation {
         self.sorted_numeric
             .get(attr.index())
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// The facet tree over numeric attribute `attr`'s sorted index, or
-    /// `None` for categorical or out-of-range attributes.
-    pub fn facet_tree(&self, attr: AttrId) -> Option<&FacetTree> {
-        self.facets.get(attr.index()).and_then(Option::as_ref)
     }
 
     /// A uniform random sample of `n` rows *without replacement* (Section
@@ -300,21 +289,11 @@ impl RelationBuilder {
                 Column::Categorical { .. } => Vec::new(),
             })
             .collect();
-        let facets = self
-            .columns
-            .iter()
-            .zip(&sorted_numeric)
-            .map(|(col, idx)| match col {
-                Column::Numeric(_) => Some(FacetTree::build(idx.as_slice())),
-                Column::Categorical { .. } => None,
-            })
-            .collect();
         Relation {
             schema: self.schema,
             columns: self.columns,
             inverted,
             sorted_numeric,
-            facets,
         }
     }
 }

@@ -5,13 +5,12 @@ use crate::{Relation, RowId};
 /// Evaluate a boolean conjunctive selection over a relation, returning
 /// matching row ids in ascending order.
 ///
-/// Routes through [`crate::postings`]: every predicate class reduces to
-/// an exact sorted row set (inverted postings for categorical equality,
-/// facet-tree position ranges for numeric bounds) and the conjunction is
-/// a galloping intersection — no per-row verification pass. Output is
-/// byte-identical to a naive full scan, the oracle every differential
-/// test checks against. Plans of overlapping queries should share a
-/// [`crate::PlanExecutor`] instead of calling this per query.
+/// Routes through [`crate::postings`]: every attribute's predicate group
+/// resolves to an exactly sized term (a categorical posting list or a
+/// numeric band of the value-sorted index), the smallest term is
+/// materialised and the others filter its rows against the raw columns.
+/// Output is byte-identical to a naive full scan, the oracle every
+/// differential test checks against.
 pub fn execute_rows(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
     crate::postings::execute_query(relation, query)
 }

@@ -61,8 +61,7 @@ mod sampler;
 mod web;
 
 pub use aimq_relation::{
-    read_csv, union_kway, write_csv, Column, CsvError, Dictionary, FacetTree, Relation,
-    RelationBuilder, RowId, NULL_CODE,
+    read_csv, write_csv, Column, CsvError, Dictionary, Relation, RelationBuilder, RowId, NULL_CODE,
 };
 pub use cache::{CachedWebDb, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_STRIPES};
 pub use executor::{execute, execute_rows};

@@ -1,33 +1,32 @@
-//! Posting-list set algebra and the shared relaxation-plan executor.
+//! Selection evaluation over the relation's indexes: drive each query
+//! from its smallest term, then verify the rest against the raw columns.
 //!
-//! Algorithm 1 compiles one imprecise query into dozens of heavily
-//! overlapping relaxed selections: every relaxed query of a base tuple's
-//! plan is the tuple query minus a few predicates, so consecutive plan
-//! entries share almost all of their conjuncts. Evaluating each query
-//! independently (one-shot, as [`execute_query`] does) re-pays the
-//! shared work on every probe.
+//! Algorithm 1 answers one imprecise query with a precise selection per
+//! relaxation step, and each step's answer is usually a handful of rows.
+//! [`execute_query`] therefore never builds a predicate's full row list.
+//! Each attribute's predicate group resolves to a *term* whose exact row
+//! count is known in O(1) or O(log n), before any row id is copied:
 //!
-//! This module evaluates selections as *set algebra over posting lists*:
+//! * a categorical equality resolves to its inverted-index posting list
+//!   (ascending row ids by construction), sized by its length;
+//! * an attribute's numeric bounds resolve, via `partition_point` over the
+//!   value-sorted index, to a band of positions, sized by its width.
 //!
-//! * every categorical equality predicate maps to its inverted-index
-//!   posting list (ascending row ids by construction);
-//! * every numeric attribute's combined range predicates map, via
-//!   `partition_point` over the value-sorted index, to a position range
-//!   answered row-id-sorted by the attribute's [`crate::FacetTree`];
-//! * a conjunction is the galloping intersection of its per-attribute
-//!   term lists, folded in ascending attribute order.
+//! Only the smallest term, the *driver*, is walked. Each of its rows is
+//! kept when every other term admits it, read from the raw columns
+//! (`Column::codes`, `Column::numbers`); a band's survivors are then
+//! sorted into row order. Every predicate class resolves exactly (see
+//! [`resolve`]), so results are byte-identical to a full scan.
 //!
-//! Every predicate class reduces to an *exact* row set (type-mismatched,
-//! non-equality-on-categorical and null/NaN-valued predicates are
-//! provably empty), so no per-row verification pass remains and results
-//! are byte-identical to a full scan.
-//!
-//! [`PlanExecutor`] adds the sharing layer: terms and every intersection
-//! *prefix* (in the canonical attribute fold order) are memoized across
-//! the queries of one plan, so the common base intersection `Qpr` is
-//! evaluated exactly once and each relaxed query only pays its delta.
-//! [`ExecStats`] meters the sharing for tests and benchmarks.
+//! [`PlanExecutor`] is the earlier shared-plan evaluator. It memoizes
+//! terms and galloping-intersection prefixes across one plan's queries.
+//! No source runs it any more: per-query driving measured faster than
+//! plan sharing. It stays for the `postings` experiment and the benchmark
+//! that meter its sharing, and it materialises its terms through the same
+//! [`resolve`], so the exactness table exists once. [`ExecStats`] meters
+//! the sharing.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use aimq_catalog::{AttrId, Domain, Predicate, PredicateOp, SelectionQuery};
@@ -206,7 +205,8 @@ impl<'a> PlanExecutor<'a> {
             return idx;
         }
         self.stats.terms_evaluated = self.stats.terms_evaluated.saturating_add(1);
-        let rows = evaluate_term(self.relation, &group);
+        let rows =
+            resolve(self.relation, &group).map_or_else(Vec::new, |term| term.rows_where(|_| true));
         let idx = self.arena.len();
         self.arena.push(rows);
         self.terms.insert(group, idx);
@@ -214,14 +214,119 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// One-shot evaluation of a single selection through the postings path
-/// (a throwaway [`PlanExecutor`]; plans should share one executor).
+/// Evaluate one selection, returning matching row ids in ascending
+/// order — byte-identical to a full scan with
+/// [`SelectionQuery::matches`].
+///
+/// Resolves every attribute's predicate group into a term, returns
+/// empty as soon as one is provably empty, and materialises only the rows
+/// of the smallest term that every other term admits.
 pub fn execute_query(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> {
-    PlanExecutor::new(relation).execute(query)
+    let canonical = if query.is_canonical() {
+        Cow::Borrowed(query)
+    } else {
+        Cow::Owned(query.canonicalize())
+    };
+    let predicates = canonical.predicates();
+    if predicates.is_empty() {
+        // No predicates: every row matches.
+        return relation.rows().collect();
+    }
+    // Canonical order sorts by attribute first, so each attribute's
+    // predicates form one contiguous group.
+    let Some(mut terms) = predicates
+        .chunk_by(|a, b| a.attr == b.attr)
+        .map(|group| resolve(relation, group))
+        .collect::<Option<Vec<Term>>>()
+    else {
+        return Vec::new();
+    };
+    let Some((smallest, _)) = terms.iter().enumerate().min_by_key(|(_, term)| term.len()) else {
+        return Vec::new();
+    };
+    let driver = terms.swap_remove(smallest);
+    driver.rows_where(|row| terms.iter().all(|term| term.admits(row)))
 }
 
-/// Evaluate one attribute's predicate group to its exact ascending row
-/// set.
+/// One attribute's predicate group resolved against a relation: an exact
+/// row set whose size is known before any row id is copied.
+#[derive(Debug)]
+enum Term<'a> {
+    /// Categorical equality: the rows whose dictionary code is `code`.
+    Code {
+        /// The attribute's raw codes, one per row.
+        codes: &'a [u32],
+        code: u32,
+        /// The code's posting list, ascending.
+        rows: &'a [RowId],
+    },
+    /// Numeric bounds: the rows whose number satisfies every predicate in
+    /// `bounds`, which are exactly the rows of `band`.
+    Band {
+        /// The attribute's raw numbers, one per row (`NaN` for null).
+        numbers: &'a [f64],
+        bounds: &'a [Predicate],
+        /// The matching slice of the value-sorted index.
+        band: &'a [(f64, RowId)],
+    },
+}
+
+impl Term<'_> {
+    /// Exact number of rows in the term.
+    fn len(&self) -> usize {
+        match self {
+            Term::Code { rows, .. } => rows.len(),
+            Term::Band { band, .. } => band.len(),
+        }
+    }
+
+    /// The term's rows that `keep` admits, in ascending order. A band
+    /// comes in value order, so its survivors are sorted.
+    fn rows_where(&self, keep: impl Fn(RowId) -> bool) -> Vec<RowId> {
+        match self {
+            Term::Code { rows, .. } => rows.iter().copied().filter(|&row| keep(row)).collect(),
+            Term::Band { band, .. } => {
+                let mut rows: Vec<RowId> = band
+                    .iter()
+                    .map(|&(_, row)| row)
+                    .filter(|&row| keep(row))
+                    .collect();
+                rows.sort_unstable();
+                rows
+            }
+        }
+    }
+
+    /// Whether `row` belongs to the term, read from the raw column.
+    fn admits(&self, row: RowId) -> bool {
+        match *self {
+            Term::Code { codes, code, .. } => codes.get(row as usize) == Some(&code),
+            Term::Band {
+                numbers, bounds, ..
+            } => numbers.get(row as usize).is_some_and(|&x| {
+                bounds
+                    .iter()
+                    .all(|p| p.value.as_num().is_some_and(|v| holds(p.op, x, v)))
+            }),
+        }
+    }
+}
+
+/// `x op v` under IEEE comparisons: a `NaN` (null) `x` satisfies no
+/// operator, and `-0.0` equals `0.0`, exactly as [`Predicate::matches`]
+/// and `Value` equality decide on decoded values.
+fn holds(op: PredicateOp, x: f64, v: f64) -> bool {
+    match op {
+        PredicateOp::Eq => x == v,
+        PredicateOp::Lt => x < v,
+        PredicateOp::Le => x <= v,
+        PredicateOp::Gt => x > v,
+        PredicateOp::Ge => x >= v,
+    }
+}
+
+/// Resolve one attribute's predicate group (non-empty, one attribute) to
+/// its [`Term`], or `None` when the group provably matches no row.
 ///
 /// Exactness case analysis against [`Predicate::matches`]:
 ///
@@ -230,59 +335,50 @@ pub fn execute_query(relation: &Relation, query: &SelectionQuery) -> Vec<RowId> 
 ///   and non-null values never equal null → empty;
 /// * **categorical attribute**: only `Eq` with a categorical value can
 ///   match (range operators and numeric constants fall to the `matches`
-///   catch-all `false`); nulls are excluded from postings at build time,
-///   two different equality constants are contradictory → empty;
+///   catch-all `false`); two different equality constants are
+///   contradictory, and a value missing from the dictionary is held by
+///   no row → empty; nulls are excluded from postings at build time and
+///   their `NULL_CODE` equals no dictionary code;
 /// * **numeric attribute**: only numeric constants can match; `NaN`
 ///   constants satisfy no IEEE comparison and equal no non-null decoded
-///   value → empty; finite/infinite constants map to a position range
+///   value → empty; finite/infinite constants map to a position band
 ///   over the value-sorted (NaN-free) index via `partition_point`, with
 ///   `Eq v` the band `[first ≥ v, first > v)` — exact for `±0.0`
 ///   (IEEE comparisons are monotone over the `total_cmp` order and
 ///   collapse the zero pair exactly as `Value`'s equality does) and for
-///   `±∞` (no `next_up` widening).
-fn evaluate_term(relation: &Relation, group: &[Predicate]) -> Vec<RowId> {
-    let Some(attribute) = relation
-        .schema()
-        .attributes()
-        .get(group.first().map(|p| p.attr.index()).unwrap_or(usize::MAX))
-    else {
-        return Vec::new();
-    };
+///   `±∞` (no `next_up` widening); an empty band → empty.
+fn resolve<'a>(relation: &'a Relation, group: &'a [Predicate]) -> Option<Term<'a>> {
+    let attr = group.first()?.attr;
+    let attribute = relation.schema().attributes().get(attr.index())?;
     if group.iter().any(|p| p.value.is_null()) {
-        return Vec::new();
+        return None;
     }
+    let column = relation.column(attr);
     match attribute.domain() {
         Domain::Categorical => {
             let mut value: Option<&str> = None;
             for p in group {
                 let (PredicateOp::Eq, Some(cat)) = (p.op, p.value.as_cat()) else {
-                    return Vec::new();
+                    return None;
                 };
-                match value {
-                    Some(v) if v != cat => return Vec::new(),
-                    _ => value = Some(cat),
+                if value.is_some_and(|v| v != cat) {
+                    return None;
                 }
+                value = Some(cat);
             }
-            let attr = group.first().map(|p| p.attr);
-            match (attr, value) {
-                (Some(attr), Some(cat)) => relation.rows_with_value(attr, cat).to_vec(),
-                _ => Vec::new(),
-            }
+            let code = column.dictionary()?.code_of(value?)?;
+            Some(Term::Code {
+                codes: column.codes()?,
+                code,
+                rows: relation.rows_with_code(attr, code),
+            })
         }
         Domain::Numeric => {
-            let Some(attr) = group.first().map(|p| p.attr) else {
-                return Vec::new();
-            };
             let index = relation.numeric_sorted(attr);
             let mut start = 0usize;
             let mut end = index.len();
             for p in group {
-                let Some(v) = p.value.as_num() else {
-                    return Vec::new();
-                };
-                if v.is_nan() {
-                    return Vec::new();
-                }
+                let v = p.value.as_num().filter(|v| !v.is_nan())?;
                 // `partition_point` with IEEE comparisons: monotone over
                 // the NaN-free `total_cmp` order, exact at ±0.0 and ±∞.
                 match p.op {
@@ -296,24 +392,12 @@ fn evaluate_term(relation: &Relation, group: &[Predicate]) -> Vec<RowId> {
                     }
                 }
             }
-            if start >= end {
-                return Vec::new();
-            }
-            match relation.facet_tree(attr) {
-                Some(tree) => tree.rows_in_positions(start, end),
-                None => {
-                    // No tree (categorical attr can't reach here; defensive):
-                    // sort the sliced positions directly.
-                    let mut rows: Vec<RowId> = index
-                        .get(start..end)
-                        .unwrap_or(&[])
-                        .iter()
-                        .map(|&(_, row)| row)
-                        .collect();
-                    rows.sort_unstable();
-                    rows
-                }
-            }
+            let band = index.get(start..end).filter(|band| !band.is_empty())?;
+            Some(Term::Band {
+                numbers: column.numbers()?,
+                bounds: group,
+                band,
+            })
         }
     }
 }
@@ -536,6 +620,154 @@ mod tests {
                     "op {op:?} constant {v}"
                 );
             }
+        }
+    }
+
+    /// Make, X and Y over signed zeros, infinities and null (`NaN`)
+    /// numbers, for the driver-path tests below.
+    fn edge_relation() -> Relation {
+        let schema = Schema::builder("R")
+            .categorical("Make")
+            .numeric("X")
+            .numeric("Y")
+            .build()
+            .unwrap();
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let rows = [
+            ("Toyota", 1.0, nan),
+            ("Toyota", nan, 2.0),
+            ("Honda", -0.0, 3.0),
+            ("Toyota", 0.0, nan),
+            ("Ford", inf, 1.0),
+            ("Toyota", -inf, 0.0),
+            ("Honda", nan, -0.0),
+            ("Toyota", 5.0, inf),
+            ("Toyota", 0.0, 2.0),
+            ("Ford", -1.0, -inf),
+        ];
+        let tuples: Vec<Tuple> = rows
+            .iter()
+            .map(|&(make, x, y)| {
+                Tuple::new(
+                    &schema,
+                    vec![Value::cat(make), Value::num(x), Value::num(y)],
+                )
+                .unwrap()
+            })
+            .collect();
+        Relation::from_tuples(schema, &tuples).unwrap()
+    }
+
+    fn bound(attr: usize, op: PredicateOp, v: f64) -> Predicate {
+        Predicate {
+            attr: AttrId(attr),
+            op,
+            value: Value::num(v),
+        }
+    }
+
+    /// The exact size of each attribute's term in `predicates`, in
+    /// attribute order (`None` for a provably empty group): the driver is
+    /// the first smallest.
+    fn term_lens(r: &Relation, predicates: Vec<Predicate>) -> Vec<Option<usize>> {
+        let q = SelectionQuery::new(predicates).canonicalize();
+        q.predicates()
+            .chunk_by(|a, b| a.attr == b.attr)
+            .map(|group| resolve(r, group).map(|term| term.len()))
+            .collect()
+    }
+
+    /// Run `predicates` through the driver path and the naive scan, and
+    /// return the (equal) rows.
+    fn driven(r: &Relation, predicates: Vec<Predicate>) -> Vec<RowId> {
+        let q = SelectionQuery::new(predicates);
+        let rows = execute_query(r, &q);
+        assert_eq!(rows, scan(r, &q), "query {q:?}");
+        rows
+    }
+
+    #[test]
+    fn numeric_driver_skips_null_rows() {
+        let r = edge_relation();
+        let toyota = Predicate::eq(AttrId(0), Value::cat("Toyota"));
+        // X ≥ 0.5 is a 3-row band (1, 5, +∞); Toyota holds 6 rows.
+        let query = vec![toyota.clone(), bound(1, PredicateOp::Ge, 0.5)];
+        assert_eq!(term_lens(&r, query.clone()), vec![Some(6), Some(3)]);
+        assert_eq!(driven(&r, query), vec![0, 7]);
+        // A band over every non-null X drives past a wider Y band and
+        // filters out the rows whose Y is null.
+        let query = vec![
+            bound(1, PredicateOp::Gt, f64::NEG_INFINITY),
+            bound(2, PredicateOp::Ge, f64::NEG_INFINITY),
+        ];
+        assert_eq!(term_lens(&r, query.clone()), vec![Some(7), Some(8)]);
+        assert_eq!(driven(&r, query), vec![2, 4, 7, 8, 9]);
+    }
+
+    #[test]
+    fn categorical_driver_filters_at_signed_zero_and_infinity() {
+        let r = edge_relation();
+        let bounds = [
+            bound(1, PredicateOp::Ge, 0.0),
+            bound(1, PredicateOp::Le, -0.0),
+            bound(1, PredicateOp::Eq, 0.0),
+            bound(1, PredicateOp::Lt, f64::INFINITY),
+            bound(1, PredicateOp::Le, f64::INFINITY),
+            bound(1, PredicateOp::Gt, f64::NEG_INFINITY),
+            bound(1, PredicateOp::Ge, f64::NEG_INFINITY),
+        ];
+        for make in ["Honda", "Ford"] {
+            for b in &bounds {
+                let query = vec![Predicate::eq(AttrId(0), Value::cat(make)), b.clone()];
+                let lens = term_lens(&r, query.clone());
+                assert!(lens[0] <= lens[1], "{make} drives {b:?}: {lens:?}");
+                driven(&r, query);
+            }
+        }
+        // Spot checks: -0.0 passes `≥ 0.0` and `= 0.0`; +∞ fails `< +∞`;
+        // the null X of row 6 passes nothing.
+        let honda = Predicate::eq(AttrId(0), Value::cat("Honda"));
+        let ford = Predicate::eq(AttrId(0), Value::cat("Ford"));
+        assert_eq!(driven(&r, vec![honda.clone(), bounds[0].clone()]), vec![2]);
+        assert_eq!(driven(&r, vec![honda, bounds[2].clone()]), vec![2]);
+        assert_eq!(driven(&r, vec![ford, bounds[3].clone()]), vec![9]);
+    }
+
+    #[test]
+    fn equality_band_drives() {
+        let r = edge_relation();
+        // X = -0.0 is the band of both zeros (rows 2, 3, 8).
+        let query = vec![
+            Predicate::eq(AttrId(0), Value::cat("Toyota")),
+            bound(1, PredicateOp::Eq, -0.0),
+        ];
+        assert_eq!(term_lens(&r, query.clone()), vec![Some(6), Some(3)]);
+        assert_eq!(driven(&r, query), vec![3, 8]);
+    }
+
+    #[test]
+    fn missing_dictionary_value_empties_a_matching_term() {
+        let r = edge_relation();
+        let matching = bound(1, PredicateOp::Ge, 0.0);
+        assert!(!driven(&r, vec![matching.clone()]).is_empty());
+        let query = vec![Predicate::eq(AttrId(0), Value::cat("BMW")), matching];
+        assert_eq!(term_lens(&r, query.clone())[0], None);
+        assert!(driven(&r, query).is_empty());
+    }
+
+    #[test]
+    fn out_of_schema_attribute_empties_a_matching_term() {
+        let r = edge_relation();
+        let toyota = Predicate::eq(AttrId(0), Value::cat("Toyota"));
+        assert_eq!(driven(&r, vec![toyota.clone()]).len(), 6);
+        // The naive scan would index past the tuple; the executor's
+        // contract is exactly empty.
+        for stray in [
+            Predicate::eq(AttrId(9), Value::cat("Toyota")),
+            bound(9, PredicateOp::Ge, 0.0),
+        ] {
+            let query = SelectionQuery::new(vec![toyota.clone(), stray]);
+            assert!(execute_query(&r, &query).is_empty(), "{query:?}");
         }
     }
 }

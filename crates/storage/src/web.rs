@@ -231,15 +231,14 @@ pub trait WebDatabase: Send + Sync {
     /// Every override keeps that loop's observable behaviour exactly:
     /// the same queries reach the inner source in the same order, the
     /// same pages come back, and every meter (access stats, cache
-    /// counters, clocks, flags) ends where the loop leaves it. Overrides:
+    /// counters, clocks, flags) ends where the loop leaves it. The
+    /// library's one override is [`crate::CachedWebDb`]: it answers hits
+    /// in place and forwards its misses inward as one sub-plan.
     ///
-    /// - [`InMemoryWebDb`] evaluates the plan through one shared
-    ///   [`crate::PlanExecutor`], computing the queries' common
-    ///   subexpressions once.
-    /// - [`crate::CachedWebDb`] answers hits in place and forwards its
-    ///   misses inward as one sub-plan.
-    ///
-    /// [`crate::ResilientWebDb`], [`crate::FederatedWebDb`] and
+    /// [`InMemoryWebDb`] keeps the default: it drives each probe from its
+    /// smallest term ([`crate::execute_query`]), which measured faster
+    /// than sharing work across a plan. [`crate::ResilientWebDb`],
+    /// [`crate::FederatedWebDb`] and
     /// [`crate::FaultInjectingWebDb`] keep the default: their breaker,
     /// probe budget, virtual clock, hedging or fault ordinal change
     /// between entries, so forwarding a whole plan would change the
@@ -317,11 +316,17 @@ impl InMemoryWebDb {
     pub fn relation(&self) -> &Relation {
         &self.relation
     }
+}
 
-    /// Clip `tuples` to the result limit and record the query in the
-    /// meter — the one shared tail of [`WebDatabase::try_query`] and the
-    /// plan override, so both paths meter identically.
-    fn page_from_tuples(&self, mut tuples: Vec<Tuple>) -> QueryPage {
+impl WebDatabase for InMemoryWebDb {
+    fn schema(&self) -> &Schema {
+        self.relation.schema()
+    }
+
+    /// Evaluate `query`, clip the page to the result limit and record the
+    /// probe in the meter.
+    fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
+        let mut tuples = execute(&self.relation, query);
         let truncated = match self.result_limit {
             Some(limit) if tuples.len() > limit => {
                 tuples.truncate(limit);
@@ -336,37 +341,7 @@ impl InMemoryWebDb {
             ..AccessStats::default()
         };
         self.stats.with(delta, |s, d| *s = s.merge(&d));
-        QueryPage { tuples, truncated }
-    }
-}
-
-impl WebDatabase for InMemoryWebDb {
-    fn schema(&self) -> &Schema {
-        self.relation.schema()
-    }
-
-    fn try_query(&self, query: &SelectionQuery) -> Result<QueryPage, QueryError> {
-        Ok(self.page_from_tuples(execute(&self.relation, query)))
-    }
-
-    /// Shared-plan override: one [`crate::PlanExecutor`] evaluates the
-    /// whole plan, so the queries' common subexpressions (above all the
-    /// base intersection every relaxed query contains) are computed once.
-    /// Pages and per-query meter records are byte-identical to the
-    /// default sequential loop; an in-memory source never fails, so the
-    /// terminal-stop clause is vacuous here.
-    fn try_query_plan(&self, plan: &[SelectionQuery]) -> Vec<Result<QueryPage, QueryError>> {
-        let mut exec = crate::PlanExecutor::new(&self.relation);
-        plan.iter()
-            .map(|q| {
-                let tuples = exec
-                    .execute(q)
-                    .into_iter()
-                    .map(|r| self.relation.tuple(r))
-                    .collect();
-                Ok(self.page_from_tuples(tuples))
-            })
-            .collect()
+        Ok(QueryPage { tuples, truncated })
     }
 
     fn stats(&self) -> AccessStats {
@@ -560,8 +535,9 @@ mod tests {
 
     #[test]
     fn plan_override_matches_sequential_loop() {
-        // The shared-plan override must be observationally identical to
-        // the default per-query loop: same pages, same meter records.
+        // A plan must be observationally identical to the per-query
+        // loop: same pages, same meter records. `InMemoryWebDb` no
+        // longer overrides the plan path, so this now pins its default.
         let toyota = SelectionQuery::new(vec![Predicate::eq(AttrId(0), Value::cat("Toyota"))]);
         let cheap = SelectionQuery::new(vec![Predicate {
             attr: AttrId(1),
